@@ -33,10 +33,8 @@ from .problems import (
     GenerationError,
     LogisticProblem,
     QuadraticProblem,
-    full_gradient,
     generate_logistic,
     generate_quadratic,
-    hessian_at,
     load_problem,
     minibatch_gradient,
     save_problem,
@@ -92,10 +90,8 @@ __all__ = [
     "choose_burn_in",
     "confidence_interval",
     "confidence_region_statistic",
-    "full_gradient",
     "generate_logistic",
     "generate_quadratic",
-    "hessian_at",
     "ks_normality",
     "load_problem",
     "main",

@@ -16,7 +16,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -116,6 +117,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.problem not in ("quadratic", "logistic"):
             raise ValueError(f"unknown problem {self.problem!r}")
+        if self.problem == "quadratic" and self.n < self.dim:
+            raise ValueError("n must be >= dim for the quadratic family")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
+        # spectrum-map takes no steps: its iters (0) and n0 are unused
+        stepped = self.experiment != "spectrum-map"
+        if stepped and self.iters < 1:
+            raise ValueError("iters must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         for a in self.alphas:
@@ -126,6 +135,8 @@ class ExperimentConfig:
                 raise ValueError("gamma must lie in [0,1)")
         if self.n0 != "auto" and not 0 <= int(self.n0):
             raise ValueError("n0 must be 'auto' or a nonnegative integer")
+        if stepped and self.n0 != "auto" and int(self.n0) >= self.iters:
+            raise ValueError("n0 must be < iters")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -234,7 +245,7 @@ def _momentum_config(cfg: ExperimentConfig, gamma_token: str, alpha: float) -> M
 
 def _resolve_n0(cfg: ExperimentConfig, lam: float) -> int:
     if cfg.n0 != "auto":
-        return min(int(cfg.n0), cfg.iters - 1)
+        return int(cfg.n0)
     if 0.0 < lam < 1.0:
         return min(choose_burn_in(lam, cfg.batch), max(cfg.iters // 2, 1))
     return max(cfg.iters // 2, 1)
@@ -300,48 +311,25 @@ def _single_run(cfg: ExperimentConfig, problem, gamma_token: str, alpha: float,
     return rec
 
 
-def _parallel_task(payload) -> tuple:
-    cfg_dict, gamma_token, alpha, cell_idx, rep = payload
-    cfg = ExperimentConfig(**cfg_dict)
+def _run_replication(cfg: ExperimentConfig, cells: list, rep: int) -> list:
+    """Replication `rep` of every cell, on one generated problem."""
     problem = _make_problem(cfg, rep)
-    return cell_idx, rep, _single_run(cfg, problem, gamma_token, alpha, rep)
+    return [_single_run(cfg, problem, tok, alpha, rep) for tok, alpha in cells]
 
 
 # ---------------------------------------------------------------------------
 # sweep execution and aggregation
 
-def _cfg_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.experiment, "problem": cfg.problem, "n": cfg.n,
-        "dim": cfg.dim, "rho": cfg.rho, "shift": cfg.shift, "nu": cfg.nu,
-        "gammas": cfg.gammas, "alphas": cfg.alphas, "batch": cfg.batch,
-        "iters": cfg.iters, "n0": cfg.n0, "reps": cfg.reps, "seed": cfg.seed,
-        "out": cfg.out, "paper_scale": cfg.paper_scale, "threads": cfg.threads,
-        "offset": cfg.offset, "mu": cfg.mu, "ell": cfg.ell, "grid": cfg.grid,
-        "alpha_range": tuple(cfg.alpha_range),
-        "gamma_range": tuple(cfg.gamma_range),
-    }
-
-
-def _execute_cells(cfg: ExperimentConfig, cells: list) -> dict:
-    """Run reps x cells, returning {cell_idx: [record per rep]} with records
-    ordered by replication index regardless of execution order."""
-    results: dict = {i: [None] * cfg.reps for i in range(len(cells))}
+def _execute_cells(cfg: ExperimentConfig, cells: list) -> list:
+    """Run reps x cells, returning per cell its records ordered by
+    replication index regardless of execution order."""
+    task = partial(_run_replication, cfg, cells)
     if cfg.threads > 1:
-        payloads = [
-            (_cfg_dict(cfg), tok, alpha, ci, rep)
-            for ci, (tok, alpha) in enumerate(cells)
-            for rep in range(cfg.reps)
-        ]
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            for cell_idx, rep, rec in pool.map(_parallel_task, payloads, chunksize=4):
-                results[cell_idx][rep] = rec
+            by_rep = list(pool.map(task, range(cfg.reps)))
     else:
-        for rep in range(cfg.reps):
-            problem = _make_problem(cfg, rep)
-            for ci, (tok, alpha) in enumerate(cells):
-                results[ci][rep] = _single_run(cfg, problem, tok, alpha, rep)
-    return results
+        by_rep = list(map(task, range(cfg.reps)))
+    return [list(recs) for recs in zip(*by_rep)]
 
 
 def _tag(value) -> str:
@@ -537,7 +525,7 @@ def _power_bound(cfg: ExperimentConfig) -> RunSummary:
 
 def _echo_config(cfg: ExperimentConfig) -> str:
     path = os.path.join(cfg.out, "config.json")
-    payload = dict(_cfg_dict(cfg), generator=GENERATOR_NAME)
+    payload = dict(asdict(cfg), generator=GENERATOR_NAME)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -584,9 +572,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rho", type=float, help="quadratic curvature scale")
     parser.add_argument("--shift", type=float, help="quadratic diagonal shift")
     parser.add_argument("--nu", type=float, help="logistic l2 penalty")
-    parser.add_argument("--gamma", nargs="+",
+    parser.add_argument("--gamma", nargs="+", dest="gammas", metavar="GAMMA",
                         help="momentum weights: numbers in [0,1) and/or 'adaptive'")
-    parser.add_argument("--alpha", nargs="+", type=float, help="step sizes")
+    parser.add_argument("--alpha", nargs="+", type=float, dest="alphas", metavar="ALPHA",
+                        help="step sizes")
     batch_group = parser.add_mutually_exclusive_group()
     batch_group.add_argument("--batch", type=int, help="batch size")
     batch_group.add_argument("--batch-frac", type=float,
@@ -596,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reps", type=int, help="replications per cell")
     parser.add_argument("--seed", type=int, help="base seed")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--paper-scale", action="store_true",
+    parser.add_argument("--paper-scale", action="store_true", default=None,
                         help="full-size sweep (n=20000, reps=200)")
     parser.add_argument("--threads", type=int,
                         help=f"worker processes (default ${THREADS_ENV_VAR} or 1)")
@@ -610,12 +599,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "experiment", "problem", "n", "dim", "rho", "shift", "nu", "gammas",
-    "alphas", "batch", "batch_frac", "iters", "n0", "reps", "seed", "out",
-    "paper_scale", "threads", "offset", "mu", "ell", "grid", "alpha_range",
-    "gamma_range",
-}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} | {"batch_frac"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -663,19 +647,9 @@ def parse_config(argv=None) -> ExperimentConfig:
     merged: dict = {}
     if args.config:
         merged.update(_load_config_file(args.config))
-    cli = {
-        "experiment": args.experiment, "problem": args.problem, "n": args.n,
-        "dim": args.dim, "rho": args.rho, "shift": args.shift, "nu": args.nu,
-        "gammas": args.gamma, "alphas": args.alpha, "batch": args.batch,
-        "batch_frac": args.batch_frac, "iters": args.iters, "n0": args.n0,
-        "reps": args.reps, "seed": args.seed, "out": args.out,
-        "threads": args.threads, "offset": args.offset, "mu": args.mu,
-        "ell": args.ell, "grid": args.grid, "alpha_range": args.alpha_range,
-        "gamma_range": args.gamma_range,
-    }
-    merged.update({k: v for k, v in cli.items() if v is not None})
-    if args.paper_scale:
-        merged["paper_scale"] = True
+    merged.update(
+        {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+    )
 
     experiment = merged.get("experiment")
     if experiment is None:
@@ -693,8 +667,6 @@ def parse_config(argv=None) -> ExperimentConfig:
         batch = int(merged["batch"])
     else:
         batch = max(1, int(round(float(merged.get("batch_frac", 0.2)) * n)))
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
 
     gammas = _coerce_gammas(
         merged.get("gammas", _GAMMA_DEFAULT.get(experiment, ["0"]))
@@ -764,7 +736,3 @@ def main(argv=None) -> int:
         f"artifacts in {summary.out_dir}"
     )
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -89,18 +89,6 @@ class Trajectory:
     loss: np.ndarray
     stride: int
 
-    def to_csv(self, path, header: dict | None = None) -> None:
-        with open(path, "w") as fh:
-            if header:
-                for key, val in header.items():
-                    fh.write(f"# {key}={val}\n")
-            fh.write("step,err_last,err_avg,loss\n")
-            for i in range(len(self.steps)):
-                fh.write(
-                    f"{self.steps[i]},{float(self.err_last[i])!r},"
-                    f"{float(self.err_avg[i])!r},{float(self.loss[i])!r}\n"
-                )
-
 
 def sgdm_step(state: OptimizerState, gradient: np.ndarray) -> OptimizerState:
     """One momentum update; pure, returns the successor state."""
@@ -151,13 +139,11 @@ def run(
         raise ValueError("n0 must be < iters")
     if config.alpha <= 0:
         raise ValueError("alpha must be positive to take steps")
-    gamma = resolve_gamma(problem, config)
-    cfg = replace(config, gamma=gamma)
-    a = cfg.alpha
+    cfg = replace(config, gamma=resolve_gamma(problem, config))
     batch = cfg.batch_size
     x_star = problem.x_star
     x = np.array(x_init, dtype=float) if x_init is not None else np.zeros(problem.dim)
-    m = np.zeros(problem.dim)
+    state = OptimizerState(x=x, m=np.zeros(problem.dim), t=1, config=cfg)
     rng = seed if isinstance(seed, RngStream) else RngStream(int(seed))
     avg = AveragingState(n0=n0)
     rec_steps: list[int] = []
@@ -168,11 +154,8 @@ def run(
 
     for t in range(1, iters + 1):
         idx = rng.batch_indices(n_samples, batch)
-        g = problem.minibatch_gradient(x, idx)
-        if not np.all(np.isfinite(g)):
-            raise DivergedError(t, "non-finite gradient")
-        m = gamma * m + (1.0 - gamma) * g
-        x = x - a * m
+        state = sgdm_step(state, problem.minibatch_gradient(state.x, idx))
+        x = state.x
         avg.fold(x, t)
         err = float(np.linalg.norm(x - x_star))
         if not math.isfinite(err) or err > blowup:
@@ -185,7 +168,6 @@ def run(
             )
             rec_loss.append(problem.loss(x) if record_loss else math.nan)
 
-    state = OptimizerState(x=x, m=m, t=iters + 1, config=cfg)
     traj = Trajectory(
         steps=np.array(rec_steps),
         err_last=np.array(rec_last),
@@ -196,9 +178,8 @@ def run(
     return state, avg, traj
 
 
-def choose_burn_in(lam: float, batch_size: int, mode: str = "squared") -> int:
-    """Least n0 with lam^(2 n0) <= (1-lam)/B (squared mode) or
-    lam^n0 <= ((1-lam)/B)^(1/2) (linear mode); the two coincide.
+def choose_burn_in(lam: float, batch_size: int) -> int:
+    """Least n0 with lam^(2 n0) <= (1-lam)/B.
 
     The closed-form ceil is taken as a starting point and then adjusted so
     the least-integer property holds exactly in floating point.
@@ -207,18 +188,10 @@ def choose_burn_in(lam: float, batch_size: int, mode: str = "squared") -> int:
         raise ValueError("lam must lie in (0, 1)")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if mode not in ("squared", "linear"):
-        raise ValueError("mode must be 'squared' or 'linear'")
     target = (1.0 - lam) / batch_size
 
-    if mode == "squared":
-        def holds(n: int) -> bool:
-            return lam ** (2 * n) <= target
-    else:
-        root = math.sqrt(target)
-
-        def holds(n: int) -> bool:
-            return lam**n <= root
+    def holds(n: int) -> bool:
+        return lam ** (2 * n) <= target
 
     n = max(1, math.ceil(math.log(target) / (2.0 * math.log(lam))))
     while n > 1 and holds(n - 1):

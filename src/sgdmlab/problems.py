@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,8 +24,6 @@ __all__ = [
     "generate_quadratic",
     "generate_logistic",
     "minibatch_gradient",
-    "full_gradient",
-    "hessian_at",
     "save_problem",
     "load_problem",
 ]
@@ -142,21 +141,15 @@ class LogisticProblem:
 
         return HessianSpectrum.from_extremes(self.mu, self.ell)
 
-    def _probs(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return _sigmoid(a @ x)
-
     def per_sample_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
         a = self.features[i]
         return (_sigmoid(a @ x) - self.labels[i]) * a + self.nu * x
 
     def minibatch_gradient(self, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        a = self.features[indices]
-        p = _sigmoid(a @ x)
-        return a.T @ (p - self.labels[indices]) / len(indices) + self.nu * x
+        return _logistic_gradient(self.features[indices], self.labels[indices], self.nu, x)
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.features @ x)
-        return self.features.T @ (p - self.labels) / self.n_samples + self.nu * x
+        return _logistic_gradient(self.features, self.labels, self.nu, x)
 
     def hessian_at(self, x: np.ndarray) -> np.ndarray:
         a = self.features
@@ -165,10 +158,7 @@ class LogisticProblem:
         return (a * w[:, None]).T @ a / self.n_samples + self.nu * np.eye(self.dim)
 
     def loss(self, x: np.ndarray) -> float:
-        z = self.features @ x
-        return float(
-            np.mean(np.logaddexp(0.0, z) - self.labels * z) + 0.5 * self.nu * x @ x
-        )
+        return _logistic_loss(self.features, self.labels, self.nu, x)
 
     def per_sample_loss(self, x: np.ndarray, i: int) -> float:
         z = float(self.features[i] @ x)
@@ -180,6 +170,16 @@ ProblemInstance = QuadraticProblem | LogisticProblem
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def _logistic_gradient(features, labels, nu, x):
+    p = _sigmoid(features @ x)
+    return features.T @ (p - labels) / features.shape[0] + nu * x
+
+
+def _logistic_loss(features, labels, nu, x) -> float:
+    z = features @ x
+    return float(np.mean(np.logaddexp(0.0, z) - labels * z) + 0.5 * nu * x @ x)
 
 
 def _resolve_stream(seed) -> tuple[RngStream, int]:
@@ -205,27 +205,32 @@ def generate_quadratic(
     v = stream.standard_normal((n_samples, dim, dim))
     a_mats = rho * np.einsum("nij,nik->njk", v, v) + diag_shift * np.eye(dim)
     b_vecs = stream.standard_normal((n_samples, dim))
-    try:
-        x_star = np.linalg.solve(a_mats.sum(axis=0), b_vecs.sum(axis=0))
-    except np.linalg.LinAlgError as exc:  # diag_shift > 0 makes this unreachable
-        raise RuntimeError("singular mean Hessian during generation") from exc
-    sigma_hat = a_mats.mean(axis=0)
-    per_sample_ev = np.linalg.eigvalsh(a_mats)
-    grads = np.einsum("nij,j->ni", a_mats, x_star) - b_vecs
-    sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
-    omega = grads.T @ grads / (n_samples * sigma2)
     return QuadraticProblem(
-        a_mats=a_mats,
-        b_vecs=b_vecs,
-        x_star=x_star,
-        sigma_hat=sigma_hat,
-        mu=float(per_sample_ev[:, 0].mean()),
-        ell=float(per_sample_ev[:, -1].mean()),
-        sigma2=sigma2,
-        omega=omega,
+        **_quadratic_statistics(a_mats, b_vecs),
         seed=seed_val,
         rho=float(rho),
         diag_shift=float(diag_shift),
+    )
+
+
+def _quadratic_statistics(a_mats: np.ndarray, b_vecs: np.ndarray) -> dict:
+    """The data and every derived field of a QuadraticProblem."""
+    try:
+        x_star = np.linalg.solve(a_mats.sum(axis=0), b_vecs.sum(axis=0))
+    except np.linalg.LinAlgError as exc:  # diag_shift > 0 makes this unreachable
+        raise RuntimeError("singular mean Hessian") from exc
+    per_sample_ev = np.linalg.eigvalsh(a_mats)
+    grads = np.einsum("nij,j->ni", a_mats, x_star) - b_vecs
+    sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
+    return dict(
+        a_mats=a_mats,
+        b_vecs=b_vecs,
+        x_star=x_star,
+        sigma_hat=a_mats.mean(axis=0),
+        mu=float(per_sample_ev[:, 0].mean()),
+        ell=float(per_sample_ev[:, -1].mean()),
+        sigma2=sigma2,
+        omega=grads.T @ grads / (a_mats.shape[0] * sigma2),
     )
 
 
@@ -241,17 +246,9 @@ def _minimize_full_batch(features, labels, nu, tol=1e-10, max_iters=100_000):
     floor guards the same way. Any convergent step sequence yields the same
     minimizer by strict convexity.
     """
-    n, d = features.shape
-
-    def grad(x):
-        p = _sigmoid(features @ x)
-        return features.T @ (p - labels) / n + nu * x
-
-    def loss(x):
-        z = features @ x
-        return float(np.mean(np.logaddexp(0.0, z) - labels * z) + 0.5 * nu * x @ x)
-
-    x = np.zeros(d)
+    grad = partial(_logistic_gradient, features, labels, nu)
+    loss = partial(_logistic_loss, features, labels, nu)
+    x = np.zeros(features.shape[1])
     for it in range(max_iters):
         g = grad(x)
         gn2 = float(g @ g)
@@ -289,9 +286,17 @@ def generate_logistic(
     features = stream.standard_normal((n_samples, dim))
     labels = stream.bernoulli(_sigmoid(features @ x_true))
     x_star, _ = _minimize_full_batch(features, labels, nu)
+    return LogisticProblem(**_logistic_statistics(features, labels, nu, x_star), seed=seed_val)
+
+
+def _logistic_statistics(features: np.ndarray, labels: np.ndarray, nu: float,
+                         x_star: np.ndarray) -> dict:
+    """The data and every derived field of a LogisticProblem; refuses an
+    instance whose Hessian at x_star is not positive definite."""
+    n, d = features.shape
     p = _sigmoid(features @ x_star)
     w = p * (1.0 - p)
-    sigma_at_star = (features * w[:, None]).T @ features / n_samples + nu * np.eye(dim)
+    sigma_at_star = (features * w[:, None]).T @ features / n + nu * np.eye(d)
     ev = np.linalg.eigvalsh(sigma_at_star)
     if ev[0] <= 0:
         raise GenerationError(
@@ -300,9 +305,8 @@ def generate_logistic(
         )
     grads = (p - labels)[:, None] * features + nu * x_star
     sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
-    omega = grads.T @ grads / (n_samples * sigma2)
     norms = np.linalg.norm(features, axis=1)
-    return LogisticProblem(
+    return dict(
         features=features,
         labels=labels,
         nu=float(nu),
@@ -311,10 +315,9 @@ def generate_logistic(
         mu=float(ev[0]),
         ell=float(ev[-1]),
         sigma2=sigma2,
-        omega=omega,
+        omega=grads.T @ grads / (n * sigma2),
         lbar=float(math.sqrt(3.0) / 6.0 * np.mean(norms**3) + nu),
         lf=float(np.mean(norms**2) + nu),
-        seed=seed_val,
     )
 
 
@@ -323,14 +326,6 @@ def minibatch_gradient(problem: ProblemInstance, x: np.ndarray, indices) -> np.n
     if indices.size and (indices.min() < 0 or indices.max() >= problem.n_samples):
         raise IndexError("batch indices out of range")
     return problem.minibatch_gradient(x, indices)
-
-
-def full_gradient(problem: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    return problem.full_gradient(x)
-
-
-def hessian_at(problem: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    return problem.hessian_at(x)
 
 
 def save_problem(problem: ProblemInstance, path: str) -> None:
@@ -360,50 +355,16 @@ def save_problem(problem: ProblemInstance, path: str) -> None:
 def load_problem(path: str) -> ProblemInstance:
     data = np.load(path, allow_pickle=False)
     family = str(data["family"])
+    seed = int(data["seed"])
     if family == "quadratic":
-        a_mats, b_vecs = data["a_mats"], data["b_vecs"]
-        n, d = b_vecs.shape
-        x_star = np.linalg.solve(a_mats.sum(axis=0), b_vecs.sum(axis=0))
-        per_sample_ev = np.linalg.eigvalsh(a_mats)
-        grads = np.einsum("nij,j->ni", a_mats, x_star) - b_vecs
-        sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
         return QuadraticProblem(
-            a_mats=a_mats,
-            b_vecs=b_vecs,
-            x_star=x_star,
-            sigma_hat=a_mats.mean(axis=0),
-            mu=float(per_sample_ev[:, 0].mean()),
-            ell=float(per_sample_ev[:, -1].mean()),
-            sigma2=sigma2,
-            omega=grads.T @ grads / (n * sigma2),
-            seed=int(data["seed"]),
+            **_quadratic_statistics(data["a_mats"], data["b_vecs"]),
+            seed=seed,
             rho=float(data["rho"]),
             diag_shift=float(data["diag_shift"]),
         )
     if family == "logistic":
-        features, labels = data["features"], data["labels"]
-        n, d = features.shape
-        nu = float(data["nu"])
-        x_star = data["x_star"]
-        p = _sigmoid(features @ x_star)
-        w = p * (1.0 - p)
-        sigma_at_star = (features * w[:, None]).T @ features / n + nu * np.eye(d)
-        ev = np.linalg.eigvalsh(sigma_at_star)
-        grads = (p - labels)[:, None] * features + nu * x_star
-        sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
-        norms = np.linalg.norm(features, axis=1)
-        return LogisticProblem(
-            features=features,
-            labels=labels,
-            nu=nu,
-            x_star=x_star,
-            sigma_at_star=sigma_at_star,
-            mu=float(ev[0]),
-            ell=float(ev[-1]),
-            sigma2=sigma2,
-            omega=grads.T @ grads / (n * sigma2),
-            lbar=float(math.sqrt(3.0) / 6.0 * np.mean(norms**3) + nu),
-            lf=float(np.mean(norms**2) + nu),
-            seed=int(data["seed"]),
-        )
+        stats = _logistic_statistics(data["features"], data["labels"], float(data["nu"]),
+                                     data["x_star"])
+        return LogisticProblem(**stats, seed=seed)
     raise ValueError(f"unknown problem family {family!r}")

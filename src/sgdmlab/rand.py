@@ -64,11 +64,3 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream={self.stream}, algo={GENERATOR_NAME})"
-
-
-def normal_vector(stream: RngStream, dim: int) -> np.ndarray:
-    return stream.normal_vector(dim)
-
-
-def batch_indices(stream: RngStream, n_samples: int, batch_size: int) -> np.ndarray:
-    return stream.batch_indices(n_samples, batch_size)

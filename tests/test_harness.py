@@ -73,6 +73,8 @@ def test_parse_rejects_bad_n0():
     assert cfg.n0 == "auto"
     cfg = parse_config(["convergence", "--n0", "25"])
     assert cfg.n0 == 25
+    with pytest.raises(ValueError, match="n0 must be < iters"):
+        parse_config(["convergence", "--n0", "5000", "--iters", "100"])
 
 
 def test_parse_config_file_and_precedence(tmp_path):
@@ -138,6 +140,17 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="convergence", reps=0)
     with pytest.raises(ValueError, match="alpha values must be positive"):
         ExperimentConfig(experiment="convergence", alphas=[0.0])
+    with pytest.raises(ValueError, match="batch"):
+        ExperimentConfig(experiment="convergence", batch=0)
+    with pytest.raises(ValueError, match="iters"):
+        ExperimentConfig(experiment="power-bound", iters=0)
+    with pytest.raises(ValueError, match="n must be >= dim"):
+        ExperimentConfig(experiment="coverage", n=5, dim=10)
+    with pytest.raises(ValueError, match="n0 must be < iters"):
+        ExperimentConfig(experiment="averaged", iters=100, n0=100)
+    # the logistic family and the step-free spectrum map take these values
+    ExperimentConfig(experiment="averaged", problem="logistic", n=5, dim=10)
+    ExperimentConfig(experiment="spectrum-map", iters=0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +164,49 @@ def tiny_config(out, **over):
     )
     base.update(over)
     return ExperimentConfig(**base)
+
+
+# summary.csv bodies of golden_configs as recorded from a reference build; a
+# change to the sweep's arithmetic, seeding or aggregation shows up here
+GOLDEN_SUMMARIES = {
+    "convergence": """\
+experiment,problem,gamma,alpha,batch,iters,n0,reps,divergent,gamma_resolved_mean,lam_mean,final_err_mean,final_err_median,best_err_mean,final_err_avg_mean,steady_mse,iters_to_threshold,coverage,p_abs_z,region_coverage,ks_stat,ks_pass
+convergence,quadratic,0,0.005,20,60,0,4,0,0.0,0.9486493434505419,0.028019961494966356,0.0252189096512771,0.028019961494966356,0.3462726714534504,0.002156217568457251,42,nan,nan,nan,nan,nan
+convergence,quadratic,adaptive,0.005,20,60,0,4,0,0.8141722194035867,0.9023149016507566,0.005074639563129186,0.005027103406346723,0.003481594209326635,0.35331597800076464,2.7325508625960167e-05,46,nan,nan,nan,nan,nan
+""",
+    "sensitivity": """\
+experiment,problem,gamma,alpha,batch,iters,n0,reps,divergent,gamma_resolved_mean,lam_mean,final_err_mean,final_err_median,best_err_mean,final_err_avg_mean,steady_mse,iters_to_threshold,coverage,p_abs_z,region_coverage,ks_stat,ks_pass
+sensitivity,quadratic,0,0.01,20,50,0,3,0,0.0,0.8972180901211083,0.020974479795379298,0.015925884340122515,0.020974479795379298,2.662386161393853,0.0027152988740277717,38,nan,nan,nan,nan,nan
+sensitivity,quadratic,0,2.0,20,50,0,3,3,0.0,32.42896051168413,inf,inf,inf,inf,nan,nan,nan,nan,nan,nan,nan
+sensitivity,quadratic,0.8,0.01,20,50,0,3,0,0.8000000000000002,0.8944271909999159,0.08191318145167513,0.05660706054760118,0.02942186790593183,2.6517098512918866,0.005478053815257208,39,nan,nan,nan,nan,nan
+sensitivity,quadratic,0.8,2.0,20,50,0,3,3,0.8000000000000002,4.71607761773366,inf,inf,inf,inf,nan,nan,nan,nan,nan,nan,nan
+""",
+}
+
+
+def golden_configs(out):
+    return {
+        "convergence": tiny_config(out / "convergence"),
+        # the divergence config below plus a stable step size and gamma
+        "sensitivity": ExperimentConfig(
+            experiment="sensitivity", n=100, dim=3, gammas=["0", "0.8"],
+            alphas=[0.01, 2.0], batch=20, iters=50, n0=0, reps=3, seed=1,
+            offset=10.0, out=str(out / "sensitivity"),
+        ),
+    }
+
+
+@pytest.mark.parametrize("experiment", sorted(GOLDEN_SUMMARIES))
+def test_summary_matches_golden(tmp_path, experiment):
+    cfg = golden_configs(tmp_path)[experiment]
+    run_experiment(cfg)
+    golden = tmp_path / "golden.csv"
+    golden.write_text(GOLDEN_SUMMARIES[experiment])
+    _, want = read_csv(str(golden))
+    _, got = read_csv(os.path.join(cfg.out, "summary.csv"))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, nan_ok=True)
 
 
 def test_run_convergence_artifacts(tmp_path):
@@ -316,14 +372,26 @@ def test_main_success_and_error_paths(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 2
     assert "error: no experiment given" in out
+    # refused before any artifact is written
+    for i, argv in enumerate([
+        ["convergence", "--iters", "0"],
+        ["convergence", "--n", "5", "--dim", "10"],
+        ["convergence", "--n0", "5000", "--iters", "100"],
+    ]):
+        out_dir = tmp_path / f"bad{i}"
+        rc = main(argv + ["--out", str(out_dir)])
+        assert rc == 2, argv
+        assert capsys.readouterr().out.startswith("error: "), argv
+        assert not (out_dir / "config.json").exists(), argv
 
 
 def test_console_script_runs(tmp_path):
     res = subprocess.run(
-        [sys.executable, "-m", "sgdmlab.harness", "spectrum-map",
+        [sys.executable, "-m", "sgdmlab", "spectrum-map",
          "--grid", "10", "--out", str(tmp_path / "cli")],
         capture_output=True, text=True,
     )
     assert res.returncode == 0
+    assert res.stderr == ""
     assert "artifacts in" in res.stdout
     assert os.path.exists(tmp_path / "cli" / "spectrum_map.csv")

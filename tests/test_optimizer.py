@@ -14,11 +14,9 @@ from sgdmlab import (
     MomentumConfig,
     OptimizerState,
     RngStream,
-    Trajectory,
     adaptive_gamma,
     choose_burn_in,
     generate_quadratic,
-    read_csv,
     resolve_gamma,
     run,
     sgdm_step,
@@ -137,17 +135,20 @@ def test_run_matches_inlined_reference_loop():
     assert np.array_equal(state.m, ref.m)
 
 
-def test_run_gamma_zero_matches_plain_sgd_loop():
+@pytest.mark.parametrize("gamma", [0.0, 0.6])
+def test_run_matches_textbook_sgdm_loop(gamma):
+    # independent of sgdm_step: the two-line recursion written out
     p = generate_quadratic(60, 4, 1.0, 10.0, 6)
-    cfg = MomentumConfig(alpha=0.02, gamma=0.0, batch_size=8)
+    cfg = MomentumConfig(alpha=0.02, gamma=gamma, batch_size=8)
     state, _, _ = run(p, cfg, iters=60, seed=7)
     rng = RngStream(7)
-    x = np.zeros(4)
+    x, m = np.zeros(4), np.zeros(4)
     for _ in range(60):
-        idx = rng.batch_indices(p.n_samples, 8)
-        g = p.minibatch_gradient(x, idx)
-        x = x - 0.02 * ((1.0 - 0.0) * g)
+        g = p.minibatch_gradient(x, rng.batch_indices(p.n_samples, 8))
+        m = gamma * m + (1.0 - gamma) * g
+        x = x - 0.02 * m
     assert np.array_equal(state.x, x)
+    assert np.array_equal(state.m, m)
 
 
 def test_run_records_all_early_steps_then_stride():
@@ -290,7 +291,6 @@ def test_burn_in_least_integer_property():
             assert lam ** (2 * n) <= target
             if n > 1:
                 assert lam ** (2 * (n - 1)) > target
-            assert choose_burn_in(lam, batch, mode="linear") == n
 
 
 def test_burn_in_validates_arguments():
@@ -300,24 +300,4 @@ def test_burn_in_validates_arguments():
         choose_burn_in(0.0, 10)
     with pytest.raises(ValueError):
         choose_burn_in(0.5, 0)
-    with pytest.raises(ValueError):
-        choose_burn_in(0.5, 10, mode="cubic")
 
-
-# ---------------------------------------------------------------------------
-# trajectory serialization
-
-def test_trajectory_csv_round_trip(tmp_path):
-    p = generate_quadratic(40, 3, 1.0, 10.0, 8)
-    cfg = MomentumConfig(alpha=0.01, gamma=0.4, batch_size=4)
-    _, _, traj = run(p, cfg, iters=30, seed=2, n0=10, record_loss=True)
-    path = str(tmp_path / "traj.csv")
-    traj.to_csv(path, header={"alpha": 0.01, "gamma": 0.4})
-    meta, rows = read_csv(path)
-    assert meta["alpha"] == "0.01"
-    assert len(rows) == 30
-    got_err = np.array([r["err_last"] for r in rows])
-    assert np.array_equal(got_err, traj.err_last)
-    got_loss = np.array([r["loss"] for r in rows])
-    assert np.array_equal(got_loss, traj.loss)
-    assert all(math.isnan(r["err_avg"]) for r in rows[:10])

@@ -1,6 +1,7 @@
 """Synthetic problem generators: exact minimizers, gradient/Hessian oracles,
 noise statistics, serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 from sgdmlab import (
     RngStream,
-    full_gradient,
     generate_logistic,
     generate_quadratic,
     load_problem,
@@ -55,7 +55,7 @@ def test_quadratic_isotropic_limit_is_exact():
 
 def test_quadratic_minimizer_zeroes_full_gradient():
     p = generate_quadratic(300, 8, rho=1.0, diag_shift=10.0, seed=4)
-    assert np.linalg.norm(full_gradient(p, p.x_star)) <= 1e-10
+    assert np.linalg.norm(p.full_gradient(p.x_star)) <= 1e-10
 
 
 def test_quadratic_hessian_constant():
@@ -85,13 +85,13 @@ def test_quadratic_spectra_views():
 def test_logistic_minimizer_gradient_norm():
     d = 8
     p = generate_logistic(500, d, np.ones(d) / math.sqrt(d), nu=0.1, seed=3)
-    assert np.linalg.norm(full_gradient(p, p.x_star)) <= 1e-10
+    assert np.linalg.norm(p.full_gradient(p.x_star)) <= 1e-10
 
 
 def test_logistic_unregularized_minimizer_gradient_norm():
     d = 5
     p = generate_logistic(800, d, np.ones(d) / math.sqrt(d), nu=0.0, seed=7)
-    assert np.linalg.norm(full_gradient(p, p.x_star)) <= 1e-10
+    assert np.linalg.norm(p.full_gradient(p.x_star)) <= 1e-10
 
 
 def test_zero_features_minimize_at_origin():
@@ -176,7 +176,7 @@ def test_full_batch_equals_full_gradient(family):
         p = generate_logistic(30, 4, np.ones(4) / 2.0, nu=0.1, seed=13)
     x = np.array([0.1, -0.7, 0.4, 0.2])
     got = minibatch_gradient(p, x, np.arange(30))
-    assert np.allclose(got, full_gradient(p, x), atol=1e-12)
+    assert np.allclose(got, p.full_gradient(x), atol=1e-12)
 
 
 def test_minibatch_rejects_out_of_range_indices():
@@ -229,17 +229,19 @@ def test_stream_seed_equivalent_to_int_seed():
     assert a.seed == b.seed == 5
 
 
+def assert_same_fields(q, p):
+    # generation and loading derive the statistics through the same code
+    for f in dataclasses.fields(p):
+        assert np.array_equal(getattr(q, f.name), getattr(p, f.name)), f.name
+
+
 def test_save_load_round_trip_quadratic(tmp_path):
     p = generate_quadratic(20, 3, rho=1.0, diag_shift=10.0, seed=33)
     path = str(tmp_path / "quad.npz")
     save_problem(p, path)
     q = load_problem(path)
     assert q.family == "quadratic"
-    assert np.array_equal(q.a_mats, p.a_mats)
-    assert np.array_equal(q.b_vecs, p.b_vecs)
-    assert np.allclose(q.x_star, p.x_star, atol=1e-14)
-    assert q.mu == p.mu and q.ell == p.ell
-    assert np.allclose(q.omega, p.omega, atol=1e-14)
+    assert_same_fields(q, p)
 
 
 def test_save_load_round_trip_logistic(tmp_path):
@@ -248,10 +250,7 @@ def test_save_load_round_trip_logistic(tmp_path):
     save_problem(p, path)
     q = load_problem(path)
     assert q.family == "logistic"
-    assert np.array_equal(q.features, p.features)
-    assert np.array_equal(q.labels, p.labels)
-    assert np.array_equal(q.x_star, p.x_star)
-    assert abs(q.sigma2 - p.sigma2) <= 1e-14
+    assert_same_fields(q, p)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdmlab import GENERATOR_NAME, RngStream
-from sgdmlab.rand import batch_indices, normal_vector
 
 # 1% critical value of chi-square with 99 dof (scipy.stats.chi2.ppf(0.99, 99))
 CHI2_99_CRIT = 134.64161685578915
@@ -72,13 +71,6 @@ def test_batch_indices_chi_square_uniformity():
     expected = 1_000_000 / 100
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < CHI2_99_CRIT
-
-
-def test_module_level_wrappers():
-    assert normal_vector(RngStream(2), 3).shape == (3,)
-    idx = batch_indices(RngStream(2), 10, 6)
-    assert idx.shape == (6,)
-    assert np.all((0 <= idx) & (idx < 10))
 
 
 def test_negative_seed_rejected():
