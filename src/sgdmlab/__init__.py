@@ -51,6 +51,7 @@ from .spectrum import (
     numeric_spectral_radius,
     optimal_hyperparameters,
     spectral_radius_closed_form,
+    spectral_report_arrays,
     verify_power_bound,
 )
 from .harness import (
@@ -109,6 +110,7 @@ __all__ = [
     "save_problem",
     "sgdm_step",
     "spectral_radius_closed_form",
+    "spectral_report_arrays",
     "verify_power_bound",
     "z_statistic",
     "__version__",

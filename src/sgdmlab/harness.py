@@ -39,6 +39,7 @@ from .spectrum import (
     build_gamma_matrix,
     optimal_hyperparameters,
     spectral_radius_closed_form,
+    spectral_report_arrays,
     verify_power_bound,
 )
 
@@ -117,8 +118,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.problem not in ("quadratic", "logistic"):
             raise ValueError(f"unknown problem {self.problem!r}")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         if self.problem == "quadratic" and self.n < self.dim:
             raise ValueError("n must be >= dim for the quadratic family")
+        # unpenalized logistic data with n <= dim is separable: no minimizer
+        if self.problem == "logistic" and self.nu == 0.0 and self.n <= self.dim:
+            raise ValueError("n must be > dim for the logistic family with nu = 0")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
         # spectrum-map takes no steps: its iters (0) and n0 are unused
@@ -137,26 +143,25 @@ class ExperimentConfig:
             raise ValueError("n0 must be 'auto' or a nonnegative integer")
         if stepped and self.n0 != "auto" and int(self.n0) >= self.iters:
             raise ValueError("n0 must be < iters")
+        # auto resolves to at least 1, which needs a step after it
+        if stepped and self.n0 == "auto" and self.iters < 2:
+            raise ValueError("n0 'auto' needs iters >= 2")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        # the spectrum map checks its grid here, not per point
+        if not (0.0 < self.mu < math.inf and 0.0 < self.ell < math.inf):
+            raise ValueError("mu and ell must be positive and finite")
+        if self.grid < 1:
+            raise ValueError("grid must be >= 1")
+        if not all(0.0 <= a < math.inf for a in self.alpha_range):
+            raise ValueError("alpha_range values must be nonnegative and finite")
+        if not all(0.0 <= g < 1.0 for g in self.gamma_range):
+            raise ValueError("gamma_range values must lie in [0,1)")
 
     def header(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "problem": self.problem,
-            "n": self.n,
-            "dim": self.dim,
-            "rho": self.rho,
-            "shift": self.shift,
-            "nu": self.nu,
-            "batch": self.batch,
-            "iters": self.iters,
-            "n0": self.n0,
-            "reps": self.reps,
-            "seed": self.seed,
-            "offset": self.offset,
-            "generator": GENERATOR_NAME,
-        }
+        keys = ("experiment", "problem", "n", "dim", "rho", "shift", "nu", "batch",
+                "iters", "n0", "reps", "seed", "offset")
+        return dict({k: getattr(self, k) for k in keys}, generator=GENERATOR_NAME)
 
 
 @dataclass
@@ -454,25 +459,24 @@ def _spectrum_map(cfg: ExperimentConfig) -> RunSummary:
     spectrum = HessianSpectrum.from_extremes(cfg.mu, cfg.ell)
     alphas = np.linspace(cfg.alpha_range[0], cfg.alpha_range[1], cfg.grid)
     gammas = np.linspace(cfg.gamma_range[0], cfg.gamma_range[1], cfg.grid)
-    rows = []
-    best = (math.inf, math.nan, math.nan)
-    for g in gammas:
-        for a in alphas:
-            rep = spectral_radius_closed_form(
-                spectrum, MomentumConfig(alpha=float(a), gamma=float(g))
-            )
-            rows.append({"alpha": float(a), "gamma": float(g),
-                         "lam": rep.lam, "admissible": int(rep.admissible)})
-            if rep.lam < best[0]:
-                best = (rep.lam, float(a), float(g))
+    g, a = (m.ravel() for m in np.meshgrid(gammas, alphas, indexing="ij"))
+    report = spectral_report_arrays(spectrum, a, g)
+    lam = report["lam"]
+    # a generator: the writer streams the rows, so 40k dicts never coexist
+    rows = (
+        {"alpha": x, "gamma": y, "lam": r, "admissible": ok}
+        for x, y, r, ok in zip(a.tolist(), g.tolist(), lam.tolist(),
+                               report["admissible"].tolist())
+    )
+    best = int(np.argmin(lam))  # the first minimum wins
     path = os.path.join(cfg.out, "spectrum_map.csv")
     _write_csv(path, cfg.header(), ["alpha", "gamma", "lam", "admissible"], rows)
     a_opt, g_opt, lam_opt = optimal_hyperparameters(spectrum)
     cell = {
         "experiment": cfg.experiment, "mu": cfg.mu, "ell": cfg.ell,
-        "grid": cfg.grid, "lam_min": best[0], "alpha_at_min": best[1],
-        "gamma_at_min": best[2], "alpha_opt": a_opt, "gamma_opt": g_opt,
-        "lam_opt": lam_opt,
+        "grid": cfg.grid, "lam_min": float(lam[best]),
+        "alpha_at_min": float(a[best]), "gamma_at_min": float(g[best]),
+        "alpha_opt": a_opt, "gamma_opt": g_opt, "lam_opt": lam_opt,
     }
     spath = os.path.join(cfg.out, "summary.csv")
     _write_csv(spath, cfg.header(), list(cell.keys()), [cell])
@@ -600,6 +604,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} | {"batch_frac"}
+# parse_config resolves these from the experiment, the scale and the
+# environment; every other field keeps its dataclass default unless given
+_RESOLVED_KEYS = {"experiment", "n", "reps", "batch", "gammas", "alphas",
+                  "iters", "n0", "threads"}
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)
+                   if f.name not in _RESOLVED_KEYS}
+
+
+def _coerce_field(key: str, val):
+    """Type a given value (a file's may be any JSON) like the field default."""
+    kind = type(_FIELD_DEFAULTS[key])
+    if kind is tuple:
+        lo, hi = val
+        return (float(lo), float(hi))
+    return kind(val)
 
 
 def _load_config_file(path: str) -> dict:
@@ -657,10 +676,9 @@ def parse_config(argv=None) -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
 
-    scale = _PAPER if merged.get("paper_scale") else _DESK
+    given = {k: _coerce_field(k, v) for k, v in merged.items() if k in _FIELD_DEFAULTS}
+    scale = _PAPER if given.get("paper_scale") else _DESK
     n = int(merged.get("n", scale["n"]))
-    reps = int(merged.get("reps", scale["reps"]))
-    problem = merged.get("problem", "quadratic")
     if "batch" in merged and "batch_frac" in merged:
         raise ValueError("give either batch or batch_frac, not both")
     if "batch" in merged:
@@ -676,7 +694,7 @@ def parse_config(argv=None) -> ExperimentConfig:
     elif experiment == "sensitivity":
         alphas = list(_DYADIC_ALPHAS)
     else:
-        alphas = [0.5] if problem == "logistic" else [0.001]
+        alphas = [0.5] if given.get("problem") == "logistic" else [0.001]
 
     n0_raw = merged.get("n0", "auto" if experiment in ("averaged", "coverage") else 0)
     if isinstance(n0_raw, str) and n0_raw.strip().lower() == "auto":
@@ -693,33 +711,17 @@ def parse_config(argv=None) -> ExperimentConfig:
     if threads is None:
         threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
 
-    alpha_range = merged.get("alpha_range", (0.02, 0.8))
-    gamma_range = merged.get("gamma_range", (0.0, 0.6))
-
     return ExperimentConfig(
         experiment=experiment,
-        problem=problem,
         n=n,
-        dim=int(merged.get("dim", 10)),
-        rho=float(merged.get("rho", 1.0)),
-        shift=float(merged.get("shift", 10.0)),
-        nu=float(merged.get("nu", 0.0)),
+        reps=int(merged.get("reps", scale["reps"])),
+        batch=batch,
         gammas=gammas,
         alphas=alphas,
-        batch=batch,
         iters=int(merged.get("iters", _ITERS_DEFAULT[experiment])),
         n0=n0,
-        reps=reps,
-        seed=int(merged.get("seed", 42)),
-        out=str(merged.get("out", "sgdmlab_out")),
-        paper_scale=bool(merged.get("paper_scale", False)),
         threads=int(threads),
-        offset=float(merged.get("offset", 1.0)),
-        mu=float(merged.get("mu", 1.0)),
-        ell=float(merged.get("ell", 5.0)),
-        grid=int(merged.get("grid", 200)),
-        alpha_range=(float(alpha_range[0]), float(alpha_range[1])),
-        gamma_range=(float(gamma_range[0]), float(gamma_range[1])),
+        **given,
     )
 
 

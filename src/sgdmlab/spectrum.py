@@ -25,6 +25,7 @@ __all__ = [
     "build_gamma_matrix",
     "numeric_spectral_radius",
     "spectral_radius_closed_form",
+    "spectral_report_arrays",
     "optimal_hyperparameters",
     "adaptive_gamma",
     "verify_power_bound",
@@ -168,98 +169,80 @@ def numeric_spectral_radius(spectrum_or_hessian, config: MomentumConfig) -> floa
     return float(np.max(np.abs(np.linalg.eigvals(G))))
 
 
-def _block_radius(s: float, gamma: float) -> float:
-    # radius of the 2x2 block with trace s and determinant gamma
-    disc = s * s - 4.0 * gamma
-    if disc <= 0.0:
-        return math.sqrt(gamma)
-    return 0.5 * (abs(s) + math.sqrt(disc))
+def spectral_report_arrays(spectrum: HessianSpectrum, alpha, gamma) -> dict:
+    """Every SpectralReport field as an array, broadcast over alpha and gamma.
+
+    The map is block-diagonal; block k has the roots of z^2 - s_k z + gamma,
+    s_k = gamma + 1 - alpha(1-gamma) kappa_k, so its radius is sqrt(gamma)
+    on a complex pair and (|s_k| + sqrt(s_k^2 - 4 gamma))/2 on a real one.
+    The largest block radius is the spectral radius, exact for every
+    (alpha, gamma), inadmissible included, with no complex arithmetic; it
+    sits at an extreme kappa, where |s_k| peaks.
+    """
+    a, g = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(gamma, dtype=float))
+    mu, ell = spectrum.mu, spectrum.ell
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = 2.0 * (1.0 + g) / (1.0 - g)
+        admissible = a * ell < margin
+        phi = np.minimum(a * mu, margin - a * ell)
+        # the real/complex phase threshold only exists on the contractive side
+        gamma_threshold = np.where(phi > 0.0, ((1.0 - phi) / (1.0 + phi)) ** 2, np.nan)
+
+        sqrt_g = np.sqrt(g)
+        s = g[..., None] + 1.0 - (a * (1.0 - g))[..., None] * spectrum.eigenvalues
+        disc = s * s - 4.0 * g[..., None]
+        delta = np.abs(disc).min(axis=-1)
+        big_m = np.where(delta > 0.0, (4.0 / np.sqrt(delta)) * (
+            2.0 * (1.0 - g) * (1.0 + a * ell + ell) + 3.0 * a * g), np.inf)
+        blocks = np.where(disc > 0.0, 0.5 * (np.abs(s) + np.sqrt(disc)), sqrt_g[..., None])
+        lam_exact = blocks.max(axis=-1)
+
+        # branch by the threshold so the complex side returns sqrt(gamma)
+        # exactly; the block form carries ~sqrt(eps) noise right at the
+        # boundary. The guard absorbs one-ulp misses at the exact boundary
+        # (the optimal point lands there); it is far below any Delta > 1e-6
+        # separation. Only admissible steps have a threshold (phi > 0)
+        on_threshold = g >= gamma_threshold - 1e-12 * (1.0 + gamma_threshold)
+        b = g + 1.0 - (1.0 - g) * phi
+        disc_phi = b * b - 4.0 * g
+        lam_phi = np.where(on_threshold | (disc_phi <= 0.0), sqrt_g,
+                           0.5 * (b + np.sqrt(disc_phi)))
+    # the two expressions agree analytically on the admissible domain;
+    # boundary rounding is O(1e-8), so 1e-6 flags only genuine breakage
+    agrees = ~admissible | (np.abs(lam_phi - lam_exact) <= 1e-6)
+    if not agrees.all():
+        i = np.unravel_index(np.argmin(agrees), agrees.shape)
+        warnings.warn(
+            "phi-form radius %.6g disagrees with exact block radius %.6g (%d point(s)); "
+            "reporting the per-block value" % (lam_phi[i], lam_exact[i], np.sum(~agrees)),
+            RuntimeWarning, stacklevel=2)
+    # an inadmissible step is complex when every block is
+    complex_branch = on_threshold | (~admissible & np.all(disc <= 0.0, axis=-1))
+    return {
+        "lam": np.where(on_threshold & agrees, sqrt_g, lam_exact),
+        "phi": phi,
+        "branch": np.where(complex_branch, "complex", "real"),
+        "big_m": big_m,
+        "delta": delta,
+        "admissible": admissible,
+        "gamma_threshold": gamma_threshold,
+        "phi_form_agrees": agrees,
+    }
 
 
 def spectral_radius_closed_form(
     spectrum: HessianSpectrum, config: MomentumConfig
 ) -> SpectralReport:
-    """Closed-form spectral radius, phase, and power-bound constants.
-
-    The per-eigenvalue 2x2 blocks have trace s_k = gamma + 1 - alpha(1-gamma)
-    kappa_k and determinant gamma; the radius is attained at an extreme
-    kappa, so it is evaluated exactly from the two extreme blocks without
-    complex arithmetic. On the tuning domain this equals the single-formula
-    expression in phi, which is cross-checked and surfaced if it disagrees.
-    Inadmissible steps (alpha*ell >= 2(1+gamma)/(1-gamma)) are not an error:
-    the radius then comes from the numeric oracle and admissible=False, so
-    sensitivity sweeps can chart divergence.
+    """Closed-form spectral radius, phase, and power-bound constants: the
+    scalar case of spectral_report_arrays. On the tuning domain the radius
+    equals the single-formula expression in phi, which is cross-checked and
+    surfaced if it disagrees. Inadmissible steps
+    (alpha*ell >= 2(1+gamma)/(1-gamma)) are not an error: their block
+    radius (>= 1) comes with admissible=False, so sensitivity sweeps can
+    chart divergence.
     """
-    a, g = config.alpha, config.gamma
-    mu, ell = spectrum.mu, spectrum.ell
-    margin = 2.0 * (1.0 + g) / (1.0 - g)
-    admissible = a * ell < margin
-    phi = min(a * mu, margin - a * ell)
-    # the real/complex phase threshold only exists on the contractive side
-    gamma_threshold = ((1.0 - phi) / (1.0 + phi)) ** 2 if phi > 0.0 else math.nan
-
-    s_all = g + 1.0 - a * (1.0 - g) * spectrum.eigenvalues
-    delta = float(np.min(np.abs(s_all * s_all - 4.0 * g)))
-    if delta > 0.0:
-        big_m = (4.0 / math.sqrt(delta)) * (
-            2.0 * (1.0 - g) * (1.0 + a * ell + ell) + 3.0 * a * g
-        )
-    else:
-        big_m = math.inf
-
-    r_lo = _block_radius(float(s_all[-1]), g)  # block of kappa = ell
-    r_hi = _block_radius(float(s_all[0]), g)  # block of kappa = mu
-    lam_exact = max(r_lo, r_hi)
-    complex_branch = max(s_all[0] ** 2, s_all[-1] ** 2) <= 4.0 * g
-
-    if not admissible:
-        lam = numeric_spectral_radius(spectrum, config)
-        return SpectralReport(
-            lam=lam,
-            phi=phi,
-            branch="complex" if complex_branch else "real",
-            big_m=big_m,
-            delta=delta,
-            admissible=False,
-            gamma_threshold=gamma_threshold,
-        )
-
-    # branch by the threshold so the complex side returns sqrt(gamma)
-    # exactly; the block form carries ~sqrt(eps) noise right at the boundary.
-    # The guard absorbs one-ulp misses at the exact boundary (the optimal
-    # point lands there); it is far below any Delta > 1e-6 separation
-    if g >= gamma_threshold - 1e-12 * (1.0 + gamma_threshold):
-        lam = math.sqrt(g)
-        lam_phi = lam
-        branch = "complex"
-    else:
-        b = g + 1.0 - (1.0 - g) * phi
-        disc = b * b - 4.0 * g
-        lam_phi = 0.5 * (b + math.sqrt(disc)) if disc > 0 else math.sqrt(g)
-        lam = lam_exact
-        branch = "real"
-    # the two expressions agree analytically on the admissible domain;
-    # boundary rounding is O(1e-8), so 1e-6 flags only genuine breakage
-    agrees = abs(lam_phi - lam_exact) <= 1e-6
-    if not agrees:
-        warnings.warn(
-            "phi-form radius %.6g disagrees with exact block radius %.6g; "
-            "reporting the per-block value"
-            % (lam_phi, lam_exact),
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        lam = lam_exact
-    return SpectralReport(
-        lam=lam,
-        phi=phi,
-        branch=branch,
-        big_m=big_m,
-        delta=delta,
-        admissible=True,
-        gamma_threshold=gamma_threshold,
-        phi_form_agrees=agrees,
-    )
+    report = spectral_report_arrays(spectrum, config.alpha, config.gamma)
+    return SpectralReport(**{k: v.item() for k, v in report.items()})
 
 
 def optimal_hyperparameters(spectrum: HessianSpectrum):

@@ -13,8 +13,11 @@ import pytest
 from sgdmlab import (
     ExperimentConfig,
     GENERATOR_NAME,
+    HessianSpectrum,
+    MomentumConfig,
     choose_burn_in,
     main,
+    numeric_spectral_radius,
     parse_config,
     read_csv,
     run_experiment,
@@ -148,9 +151,28 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="coverage", n=5, dim=10)
     with pytest.raises(ValueError, match="n0 must be < iters"):
         ExperimentConfig(experiment="averaged", iters=100, n0=100)
-    # the logistic family and the step-free spectrum map take these values
-    ExperimentConfig(experiment="averaged", problem="logistic", n=5, dim=10)
-    ExperimentConfig(experiment="spectrum-map", iters=0)
+    with pytest.raises(ValueError, match="n0 'auto' needs iters >= 2"):
+        ExperimentConfig(experiment="averaged", iters=1, n0="auto")
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        ExperimentConfig(experiment="convergence", n=50, dim=0)
+    for n in (3, 5):
+        with pytest.raises(ValueError, match="n must be > dim for the logistic"):
+            ExperimentConfig(experiment="averaged", problem="logistic", n=n, dim=5)
+    with pytest.raises(ValueError, match="grid must be >= 1"):
+        ExperimentConfig(experiment="spectrum-map", iters=0, grid=0)
+    for mu, ell in ((0.0, 5.0), (1.0, -5.0), (1.0, math.inf), (math.nan, 5.0)):
+        with pytest.raises(ValueError, match="mu and ell"):
+            ExperimentConfig(experiment="spectrum-map", iters=0, mu=mu, ell=ell)
+    for bad in ((-1.0, 0.5), (0.02, math.inf), (math.nan, 0.5)):
+        with pytest.raises(ValueError, match="alpha_range"):
+            ExperimentConfig(experiment="spectrum-map", iters=0, alpha_range=bad)
+    for bad in ((0.0, 1.5), (-0.1, 0.5), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="gamma_range"):
+            ExperimentConfig(experiment="spectrum-map", iters=0, gamma_range=bad)
+    # the logistic family (penalized) and the step-free spectrum map take these
+    ExperimentConfig(experiment="averaged", problem="logistic", n=5, dim=10, nu=0.1)
+    ExperimentConfig(experiment="averaged", problem="logistic", n=6, dim=5)
+    ExperimentConfig(experiment="spectrum-map", iters=0, n0="auto")
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +296,13 @@ def test_spectrum_map_summary(tmp_path):
     assert len(rows) == 40 * 40
     lams = [r["lam"] for r in rows if r["admissible"] == 1]
     assert abs(min(lams) - cell["lam_min"]) <= 1e-15
+    # every radius, inadmissible ones included, against the dense eigensolver
+    spec = HessianSpectrum.from_extremes(1.0, 5.0)
+    for r in rows:
+        a, g = r["alpha"], r["gamma"]
+        assert r["admissible"] == int(a * 5.0 < 2.0 * (1.0 + g) / (1.0 - g)), r
+        oracle = numeric_spectral_radius(spec, MomentumConfig(alpha=a, gamma=g))
+        assert r["lam"] == pytest.approx(oracle, rel=1e-13), r
 
 
 def test_power_bound_all_hold(tmp_path):
@@ -377,6 +406,15 @@ def test_main_success_and_error_paths(tmp_path, capsys):
         ["convergence", "--iters", "0"],
         ["convergence", "--n", "5", "--dim", "10"],
         ["convergence", "--n0", "5000", "--iters", "100"],
+        ["averaged", "--n0", "auto", "--iters", "1", "--n", "50", "--dim", "2"],
+        ["convergence", "--dim", "0", "--n", "50", "--iters", "5"],
+        ["averaged", "--problem", "logistic", "--n", "3", "--dim", "5", "--iters", "5"],
+        ["averaged", "--problem", "logistic", "--n", "5", "--dim", "5", "--iters", "5"],
+        ["spectrum-map", "--gamma-range", "0", "1.5"],
+        ["spectrum-map", "--alpha-range", "-1", "0.5"],
+        ["spectrum-map", "--grid", "0"],
+        ["spectrum-map", "--mu", "0"],
+        ["spectrum-map", "--ell", "-1"],
     ]):
         out_dir = tmp_path / f"bad{i}"
         rc = main(argv + ["--out", str(out_dir)])

@@ -153,13 +153,19 @@ def test_radius_matches_eigensolver_random_d6():
         assert abs(rep.lam - oracle) <= 1e-10
 
 
-def test_inadmissible_step_reports_divergence_not_error():
+# on a 1..5 spectrum the step limit 2(1+gamma)/((1-gamma) ell) is 0.4 at
+# gamma = 0 (taken exactly by the last case), 0.667 at 0.25, 0.933 at 0.4
+# and 7.6 at 0.9
+@pytest.mark.parametrize("alpha,gamma", [
+    (1.0, 0.0), (0.7, 0.25), (2.0, 0.4), (8.0, 0.9), (0.4, 0.0),
+])
+def test_inadmissible_step_reports_divergence_not_error(alpha, gamma):
     spec = HessianSpectrum.from_extremes(1.0, 5.0)
-    cfg = MomentumConfig(alpha=1.0, gamma=0.0)  # alpha*ell = 5 >= 2
+    cfg = MomentumConfig(alpha=alpha, gamma=gamma)
     rep = spectral_radius_closed_form(spec, cfg)
     assert not rep.admissible
     assert rep.lam >= 1.0
-    assert abs(rep.lam - numeric_spectral_radius(spec, cfg)) <= 1e-10
+    assert rep.lam == pytest.approx(numeric_spectral_radius(spec, cfg), rel=1e-13)
 
 
 def test_delta_zero_flags_infinite_m_and_bound_refuses():
