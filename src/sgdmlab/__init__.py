@@ -27,6 +27,7 @@ from .optimizer import (
     choose_burn_in,
     resolve_gamma,
     run,
+    run_cells,
     sgdm_step,
 )
 from .problems import (
@@ -106,6 +107,7 @@ __all__ = [
     "read_csv",
     "resolve_gamma",
     "run",
+    "run_cells",
     "run_experiment",
     "save_problem",
     "sgdm_step",

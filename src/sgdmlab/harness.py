@@ -29,7 +29,7 @@ from .inference import (
     plug_in_covariance,
     z_statistic,
 )
-from .optimizer import DivergedError, choose_burn_in, resolve_gamma, run
+from .optimizer import DivergedError, choose_burn_in, resolve_gamma, run_cells
 from .problems import generate_logistic, generate_quadratic
 from .rand import GENERATOR_NAME, RngStream
 from .spectrum import (
@@ -133,6 +133,8 @@ class ExperimentConfig:
             raise ValueError("iters must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if not (self.gammas and self.alphas):
+            raise ValueError("gamma and alpha need at least one value each")
         for a in self.alphas:
             if not a > 0:
                 raise ValueError("alpha values must be positive")
@@ -256,39 +258,15 @@ def _resolve_n0(cfg: ExperimentConfig, lam: float) -> int:
     return max(cfg.iters // 2, 1)
 
 
-def _single_run(cfg: ExperimentConfig, problem, gamma_token: str, alpha: float,
-                rep: int) -> dict:
-    mcfg = _momentum_config(cfg, gamma_token, alpha)
-    gamma_res = resolve_gamma(problem, mcfg)
-    report = spectral_radius_closed_form(
-        problem.tuning_spectrum(), replace(mcfg, gamma=gamma_res,
-                                           gamma_mode=GammaMode.FIXED)
-    )
-    n0 = _resolve_n0(cfg, report.lam)
-    stream = RngStream(cfg.seed + rep, stream=1)
-    x_init = None
-    if cfg.offset > 0.0:
-        x_init = problem.x_star + cfg.offset * stream.normal_vector(cfg.dim)
-    stride = max(1, cfg.iters // 1000)
-    rec = {
-        "rep": rep,
-        "gamma_resolved": gamma_res,
-        "lam": report.lam,
-        "n0": n0,
-        "diverged": False,
-    }
-    try:
-        state, avg, traj = run(
-            problem, mcfg, cfg.iters, stream, n0=n0,
-            record_stride=stride, x_init=x_init,
-        )
-    except DivergedError as exc:
+def _fill_record(cfg: ExperimentConfig, problem, rec: dict, result) -> None:
+    """Complete a cell's record from its run_cells entry."""
+    if isinstance(result, DivergedError):
         rec["diverged"] = True
-        rec["diverged_step"] = exc.step
+        rec["diverged_step"] = result.step
         rec["final_err"] = math.inf
         rec["best_err"] = math.inf
-        return rec
-
+        return
+    _, avg, traj = result
     rec["steps"] = traj.steps.tolist()
     rec["err_last"] = traj.err_last.tolist()
     rec["err_avg"] = traj.err_avg.tolist()
@@ -297,6 +275,7 @@ def _single_run(cfg: ExperimentConfig, problem, gamma_token: str, alpha: float,
     rec["final_err_avg"] = float(traj.err_avg[-1])
 
     if cfg.experiment == "coverage":
+        n0 = rec["n0"]
         cov = plug_in_covariance(problem)
         omega_dir = np.ones(cfg.dim) / math.sqrt(cfg.dim)
         xbar = avg.mean
@@ -313,13 +292,39 @@ def _single_run(cfg: ExperimentConfig, problem, gamma_token: str, alpha: float,
         rec["covered"] = bool(lo <= target <= hi)
         rec["region_stat"] = stat
         rec["region_covered"] = bool(stat <= chi_square_quantile(cfg.dim, 0.05))
-    return rec
 
 
 def _run_replication(cfg: ExperimentConfig, cells: list, rep: int) -> list:
-    """Replication `rep` of every cell, on one generated problem."""
+    """Replication `rep` of every cell: one generated problem, and one batch
+    stream that all cells step through together (common random numbers)."""
     problem = _make_problem(cfg, rep)
-    return [_single_run(cfg, problem, tok, alpha, rep) for tok, alpha in cells]
+    stream = RngStream(cfg.seed + rep, stream=1)
+    x_init = None
+    if cfg.offset > 0.0:
+        x_init = problem.x_star + cfg.offset * stream.normal_vector(cfg.dim)
+    mcfgs, recs = [], []
+    for tok, alpha in cells:
+        mcfg = _momentum_config(cfg, tok, alpha)
+        gamma_res = resolve_gamma(problem, mcfg)
+        report = spectral_radius_closed_form(
+            problem.tuning_spectrum(), replace(mcfg, gamma=gamma_res,
+                                               gamma_mode=GammaMode.FIXED)
+        )
+        mcfgs.append(mcfg)
+        recs.append({
+            "rep": rep,
+            "gamma_resolved": gamma_res,
+            "lam": report.lam,
+            "n0": _resolve_n0(cfg, report.lam),
+            "diverged": False,
+        })
+    results = run_cells(
+        problem, mcfgs, cfg.iters, stream, [rec["n0"] for rec in recs],
+        record_stride=max(1, cfg.iters // 1000), x_init=x_init,
+    )
+    for rec, result in zip(recs, results):
+        _fill_record(cfg, problem, rec, result)
+    return recs
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +617,23 @@ _FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)
                    if f.name not in _RESOLVED_KEYS}
 
 
+def _typed(kind, key: str, val):
+    """kind(val), refusing a value (a file's may be any JSON) that kind cannot
+    take with a ValueError rather than a TypeError."""
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} expects {kind.__name__}, got {val!r}") from None
+
+
 def _coerce_field(key: str, val):
-    """Type a given value (a file's may be any JSON) like the field default."""
+    """Type a given value like the field default."""
     kind = type(_FIELD_DEFAULTS[key])
     if kind is tuple:
-        lo, hi = val
-        return (float(lo), float(hi))
-    return kind(val)
+        if not isinstance(val, (list, tuple)) or len(val) != 2:
+            raise ValueError(f"{key} expects two numbers, got {val!r}")
+        return tuple(_typed(float, key, v) for v in val)
+    return _typed(kind, key, val)
 
 
 def _load_config_file(path: str) -> dict:
@@ -640,7 +655,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _coerce_gammas(raw) -> list:
-    if isinstance(raw, (str, float, int)):
+    if not isinstance(raw, (list, tuple)):
         raw = [raw]
     toks = []
     for g in raw:
@@ -678,19 +693,20 @@ def parse_config(argv=None) -> ExperimentConfig:
 
     given = {k: _coerce_field(k, v) for k, v in merged.items() if k in _FIELD_DEFAULTS}
     scale = _PAPER if given.get("paper_scale") else _DESK
-    n = int(merged.get("n", scale["n"]))
+    n = _typed(int, "n", merged.get("n", scale["n"]))
     if "batch" in merged and "batch_frac" in merged:
         raise ValueError("give either batch or batch_frac, not both")
     if "batch" in merged:
-        batch = int(merged["batch"])
+        batch = _typed(int, "batch", merged["batch"])
     else:
-        batch = max(1, int(round(float(merged.get("batch_frac", 0.2)) * n)))
+        frac = _typed(float, "batch_frac", merged.get("batch_frac", 0.2))
+        batch = max(1, int(round(frac * n)))
 
     gammas = _coerce_gammas(
         merged.get("gammas", _GAMMA_DEFAULT.get(experiment, ["0"]))
     )
     if "alphas" in merged:
-        alphas = [float(a) for a in np.atleast_1d(merged["alphas"])]
+        alphas = [_typed(float, "alpha", a) for a in np.atleast_1d(merged["alphas"])]
     elif experiment == "sensitivity":
         alphas = list(_DYADIC_ALPHAS)
     else:
@@ -709,18 +725,18 @@ def parse_config(argv=None) -> ExperimentConfig:
 
     threads = merged.get("threads")
     if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
+        threads = os.environ.get(THREADS_ENV_VAR, "1")
 
     return ExperimentConfig(
         experiment=experiment,
         n=n,
-        reps=int(merged.get("reps", scale["reps"])),
+        reps=_typed(int, "reps", merged.get("reps", scale["reps"])),
         batch=batch,
         gammas=gammas,
         alphas=alphas,
-        iters=int(merged.get("iters", _ITERS_DEFAULT[experiment])),
+        iters=_typed(int, "iters", merged.get("iters", _ITERS_DEFAULT[experiment])),
         n0=n0,
-        threads=int(threads),
+        threads=_typed(int, "threads", threads),
         **given,
     )
 

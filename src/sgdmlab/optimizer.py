@@ -24,6 +24,7 @@ __all__ = [
     "Trajectory",
     "sgdm_step",
     "run",
+    "run_cells",
     "choose_burn_in",
     "resolve_gamma",
 ]
@@ -90,6 +91,13 @@ class Trajectory:
     stride: int
 
 
+def _momentum_update(x: np.ndarray, m: np.ndarray, gamma: float, alpha: float,
+                     gradient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The SGDM recursion; returns the successor (x, m)."""
+    m_next = gamma * m + (1.0 - gamma) * gradient
+    return x - alpha * m_next, m_next
+
+
 def sgdm_step(state: OptimizerState, gradient: np.ndarray) -> OptimizerState:
     """One momentum update; pure, returns the successor state."""
     gradient = np.asarray(gradient, dtype=float)
@@ -98,8 +106,7 @@ def sgdm_step(state: OptimizerState, gradient: np.ndarray) -> OptimizerState:
     if not np.all(np.isfinite(gradient)):
         raise DivergedError(state.t, "non-finite gradient")
     cfg = state.config
-    m_next = cfg.gamma * state.m + (1.0 - cfg.gamma) * gradient
-    x_next = state.x - cfg.alpha * m_next
+    x_next, m_next = _momentum_update(state.x, state.m, cfg.gamma, cfg.alpha, gradient)
     return OptimizerState(x=x_next, m=m_next, t=state.t + 1, config=cfg)
 
 
@@ -110,6 +117,106 @@ def resolve_gamma(problem: ProblemInstance, config: MomentumConfig) -> float:
     if config.gamma_mode is GammaMode.ADAPTIVE:
         return adaptive_gamma(problem.mu, config.alpha)
     return config.gamma
+
+
+class _Cell:
+    """One configuration's live iterate, average and records in run_cells."""
+
+    def __init__(self, config: MomentumConfig, n0: int, x: np.ndarray):
+        self.config = config
+        self.x = x
+        self.m = np.zeros_like(x)
+        self.avg = AveragingState(n0=n0)
+        self.records: list[tuple] = []  # (t, err_last, err_avg, loss)
+
+
+def run_cells(
+    problem: ProblemInstance,
+    configs: list,
+    iters: int,
+    seed: int,
+    n0s: list,
+    record_stride: int = 1,
+    x_init: np.ndarray | None = None,
+    blowup: float = BLOWUP_DEFAULT,
+    record_loss: bool = False,
+) -> list:
+    """`run` for K configurations (one batch size) in lockstep on one stream.
+
+    Every cell starts at `x_init` (zeros if None) and sees the same batches:
+    each step draws the indices and gathers the batch once, then every live
+    cell takes its own gradient, update, fold (t > its n0) and error check,
+    so each cell is bit-identical to a `run` of it alone.
+
+    Returns per configuration (OptimizerState, AveragingState, Trajectory),
+    or the DivergedError of a cell whose error norm stopped being finite or
+    exceeded `blowup`; a diverged cell leaves the stack, the others go on.
+    """
+    configs, n0s = list(configs), list(n0s)
+    if not configs:
+        raise ValueError("configs must not be empty")
+    if len(n0s) != len(configs):
+        raise ValueError("n0s must give one burn-in per configuration")
+    if len({cfg.batch_size for cfg in configs}) != 1:
+        raise ValueError("configurations must share one batch size")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    for cfg, n0 in zip(configs, n0s):
+        if n0 >= iters:
+            raise ValueError("n0 must be < iters")
+        if cfg.alpha <= 0:
+            raise ValueError("alpha must be positive to take steps")
+    x0 = np.array(x_init, dtype=float) if x_init is not None else np.zeros(problem.dim)
+    if x0.shape != (problem.dim,):
+        raise ValueError("x_init must have shape (dim,)")
+    cells = [
+        _Cell(replace(cfg, gamma=resolve_gamma(problem, cfg)), n0, x0.copy())
+        for cfg, n0 in zip(configs, n0s)
+    ]
+    results: list = [None] * len(cells)
+    live = list(enumerate(cells))
+    rng = seed if isinstance(seed, RngStream) else RngStream(int(seed))
+    batch = configs[0].batch_size
+    n_samples = problem.n_samples
+    x_star = problem.x_star
+
+    # no finiteness check on the gradient: a non-finite one makes x, and so
+    # the error norm, non-finite at the same step
+    for t in range(1, iters + 1):
+        data = problem.gather(rng.batch_indices(n_samples, batch))
+        record = t <= 1000 or t % record_stride == 0 or t == iters
+        diverged = False
+        for k, cell in live:
+            cfg = cell.config
+            g = problem.batch_gradient(data, cell.x)
+            cell.x, cell.m = _momentum_update(cell.x, cell.m, cfg.gamma, cfg.alpha, g)
+            x, avg = cell.x, cell.avg
+            avg.fold(x, t)
+            err = float(np.linalg.norm(x - x_star))
+            if not math.isfinite(err) or err > blowup:
+                results[k] = DivergedError(
+                    t, f"error norm {err:.3e} beyond blow-up threshold")
+                diverged = True
+                continue
+            if record:
+                cell.records.append((
+                    t,
+                    err,
+                    float(np.linalg.norm(avg.mean - x_star)) if avg.count else math.nan,
+                    problem.loss(x) if record_loss else math.nan,
+                ))
+        if diverged:
+            live = [(k, cell) for k, cell in live if results[k] is None]
+            if not live:
+                break
+
+    for k, cell in live:
+        steps, err_last, err_avg, loss = (np.array(col) for col in zip(*cell.records))
+        traj = Trajectory(steps=steps, err_last=err_last, err_avg=err_avg, loss=loss,
+                          stride=record_stride)
+        state = OptimizerState(x=cell.x, m=cell.m, t=iters + 1, config=cell.config)
+        results[k] = (state, cell.avg, traj)
+    return results
 
 
 def run(
@@ -128,54 +235,17 @@ def run(
     Each step draws `config.batch_size` uniform sample indices (duplicates
     allowed) from a stream keyed by `seed`, so identical inputs reproduce
     bit-identical trajectories. Iterates with t > n0 fold into the running
-    average. Returns (OptimizerState, AveragingState, Trajectory).
+    average. Returns (OptimizerState, AveragingState, Trajectory); this is
+    `run_cells` with one configuration.
 
-    Raises DivergedError if the error norm exceeds `blowup` or anything
-    stops being finite.
+    Raises DivergedError if the error norm stops being finite or exceeds
+    `blowup`.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    if n0 >= iters:
-        raise ValueError("n0 must be < iters")
-    if config.alpha <= 0:
-        raise ValueError("alpha must be positive to take steps")
-    cfg = replace(config, gamma=resolve_gamma(problem, config))
-    batch = cfg.batch_size
-    x_star = problem.x_star
-    x = np.array(x_init, dtype=float) if x_init is not None else np.zeros(problem.dim)
-    state = OptimizerState(x=x, m=np.zeros(problem.dim), t=1, config=cfg)
-    rng = seed if isinstance(seed, RngStream) else RngStream(int(seed))
-    avg = AveragingState(n0=n0)
-    rec_steps: list[int] = []
-    rec_last: list[float] = []
-    rec_avg: list[float] = []
-    rec_loss: list[float] = []
-    n_samples = problem.n_samples
-
-    for t in range(1, iters + 1):
-        idx = rng.batch_indices(n_samples, batch)
-        state = sgdm_step(state, problem.minibatch_gradient(state.x, idx))
-        x = state.x
-        avg.fold(x, t)
-        err = float(np.linalg.norm(x - x_star))
-        if not math.isfinite(err) or err > blowup:
-            raise DivergedError(t, f"error norm {err:.3e} beyond blow-up threshold")
-        if t <= 1000 or t % record_stride == 0 or t == iters:
-            rec_steps.append(t)
-            rec_last.append(err)
-            rec_avg.append(
-                float(np.linalg.norm(avg.mean - x_star)) if avg.count else math.nan
-            )
-            rec_loss.append(problem.loss(x) if record_loss else math.nan)
-
-    traj = Trajectory(
-        steps=np.array(rec_steps),
-        err_last=np.array(rec_last),
-        err_avg=np.array(rec_avg),
-        loss=np.array(rec_loss),
-        stride=record_stride,
-    )
-    return state, avg, traj
+    (result,) = run_cells(problem, [config], iters, seed, [n0], record_stride=record_stride,
+                          x_init=x_init, blowup=blowup, record_loss=record_loss)
+    if isinstance(result, DivergedError):
+        raise result
+    return result
 
 
 def choose_burn_in(lam: float, batch_size: int) -> int:

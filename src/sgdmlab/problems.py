@@ -78,8 +78,18 @@ class QuadraticProblem:
     def per_sample_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
         return self.a_mats[i] @ x - self.b_vecs[i]
 
+    def gather(self, indices: np.ndarray) -> tuple:
+        """The batch's mean Hessian and mean linear term, shared by every
+        iterate evaluated on this batch."""
+        return self.a_mats[indices].mean(axis=0), self.b_vecs[indices].mean(axis=0)
+
+    def batch_gradient(self, batch: tuple, x: np.ndarray) -> np.ndarray:
+        """Mini-batch gradient at x from a `gather` result."""
+        a_mean, b_mean = batch
+        return a_mean @ x - b_mean
+
     def minibatch_gradient(self, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return self.a_mats[indices].mean(axis=0) @ x - self.b_vecs[indices].mean(axis=0)
+        return self.batch_gradient(self.gather(indices), x)
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.sigma_hat @ x - self._b_mean
@@ -145,8 +155,17 @@ class LogisticProblem:
         a = self.features[i]
         return (_sigmoid(a @ x) - self.labels[i]) * a + self.nu * x
 
+    def gather(self, indices: np.ndarray) -> tuple:
+        """The batch's feature rows and labels."""
+        return self.features[indices], self.labels[indices]
+
+    def batch_gradient(self, batch: tuple, x: np.ndarray) -> np.ndarray:
+        """Mini-batch gradient at x from a `gather` result."""
+        features, labels = batch
+        return _logistic_gradient(features, labels, self.nu, x)
+
     def minibatch_gradient(self, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return _logistic_gradient(self.features[indices], self.labels[indices], self.nu, x)
+        return self.batch_gradient(self.gather(indices), x)
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         return _logistic_gradient(self.features, self.labels, self.nu, x)

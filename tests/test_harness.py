@@ -1,6 +1,7 @@
 """Experiment driver: config resolution, artifact layout, serial/parallel
 agreement, per-experiment summaries."""
 
+import hashlib
 import json
 import math
 import os
@@ -143,6 +144,10 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="convergence", reps=0)
     with pytest.raises(ValueError, match="alpha values must be positive"):
         ExperimentConfig(experiment="convergence", alphas=[0.0])
+    with pytest.raises(ValueError, match="at least one value"):
+        ExperimentConfig(experiment="convergence", alphas=[])
+    with pytest.raises(ValueError, match="at least one value"):
+        ExperimentConfig(experiment="convergence", gammas=[])
     with pytest.raises(ValueError, match="batch"):
         ExperimentConfig(experiment="convergence", batch=0)
     with pytest.raises(ValueError, match="iters"):
@@ -206,6 +211,29 @@ sensitivity,quadratic,0.8,2.0,20,50,0,3,3,0.8000000000000002,4.71607761773366,in
 }
 
 
+# SHA-256 of every per-cell CSV of golden_configs, recorded from a reference
+# build: per-step error means/medians and the divergent cells' rows must stay
+# byte for byte what they were
+GOLDEN_CELL_DIGESTS = {
+    "convergence": {
+        "convergence_g0_a0.005.csv":
+            "a27379558f7c8e2731effe88768a61d10fc50884c1edc83eccb64cd5a7a80a97",
+        "convergence_gadaptive_a0.005.csv":
+            "5a759e5aa1dc8e6bc60e349b6738cdd9fb591bead696a31bf48b6f614c80ca82",
+    },
+    "sensitivity": {
+        "sensitivity_g0.8_a0.01.csv":
+            "82e05fb82d656c903c6dc230afeae8e62d743f3788a44a2a31b6abd9a0ac8418",
+        "sensitivity_g0.8_a2.csv":
+            "4c18e670fe2c2d2fb74c5b45a6830b7fc8541bebbfdc7fad3e1b394dae10f349",
+        "sensitivity_g0_a0.01.csv":
+            "44e91efdf88b75cf709c1d56272b83095f214575390323959a79fb738e9f1cfe",
+        "sensitivity_g0_a2.csv":
+            "7192056f6a226986861204f72a5c79f8d03de12abbaad840174109b85c74fbbd",
+    },
+}
+
+
 def golden_configs(out):
     return {
         "convergence": tiny_config(out / "convergence"),
@@ -229,6 +257,18 @@ def test_summary_matches_golden(tmp_path, experiment):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, rel=1e-12, nan_ok=True)
+
+
+@pytest.mark.parametrize("experiment", sorted(GOLDEN_CELL_DIGESTS))
+def test_cell_csvs_match_golden_digests(tmp_path, experiment):
+    cfg = golden_configs(tmp_path)[experiment]
+    run_experiment(cfg)
+    got = {
+        name: hashlib.sha256((tmp_path / experiment / name).read_bytes()).hexdigest()
+        for name in os.listdir(cfg.out)
+        if name.endswith(".csv") and name != "summary.csv"
+    }
+    assert got == GOLDEN_CELL_DIGESTS[experiment]
 
 
 def test_run_convergence_artifacts(tmp_path):
@@ -421,6 +461,22 @@ def test_main_success_and_error_paths(tmp_path, capsys):
         assert rc == 2, argv
         assert capsys.readouterr().out.startswith("error: "), argv
         assert not (out_dir / "config.json").exists(), argv
+    # config-file values of a JSON type the field cannot take
+    for i, payload in enumerate([
+        {"experiment": "convergence", "dim": None},
+        {"experiment": "convergence", "reps": None},
+        {"experiment": "convergence", "alpha": [None]},
+        {"experiment": "convergence", "gamma": None},
+        {"experiment": "convergence", "alpha": []},
+        {"experiment": "spectrum-map", "alpha_range": 3},
+    ]):
+        path = tmp_path / f"typed{i}.json"
+        path.write_text(json.dumps(payload))
+        out_dir = tmp_path / f"typed{i}"
+        rc = main(["--config", str(path), "--out", str(out_dir)])
+        assert rc == 2, payload
+        assert capsys.readouterr().out.startswith("error: "), payload
+        assert not (out_dir / "config.json").exists(), payload
 
 
 def test_console_script_runs(tmp_path):

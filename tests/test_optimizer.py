@@ -19,6 +19,7 @@ from sgdmlab import (
     generate_quadratic,
     resolve_gamma,
     run,
+    run_cells,
     sgdm_step,
     spectral_radius_closed_form,
 )
@@ -189,6 +190,84 @@ def test_run_validates_arguments():
         run(p, MomentumConfig(alpha=0.01), iters=10, seed=1, n0=10)
     with pytest.raises(ValueError, match="alpha must be positive"):
         run(p, MomentumConfig(alpha=0.0), iters=10, seed=1)
+    with pytest.raises(ValueError):
+        run(p, MomentumConfig(alpha=0.01), iters=10, seed=1, x_init=np.zeros(2))
+
+
+def test_run_non_finite_start_raises_at_first_step():
+    p = generate_quadratic(40, 3, 1.0, 10.0, 8)
+    cfg = MomentumConfig(alpha=0.01, gamma=0.5, batch_size=4)
+    with pytest.raises(DivergedError) as err:
+        run(p, cfg, iters=10, seed=1, x_init=np.full(3, math.nan))
+    assert err.value.step == 1
+
+
+def textbook_cell(p, gamma, alpha, n0, iters, seed, batch, x0, blowup=1e12):
+    """The two-line recursion written out, with its own running sum and
+    error norms; returns the divergence step or the final quantities."""
+    rng = RngStream(seed)
+    x, m, total, count = x0.copy(), np.zeros_like(x0), np.zeros_like(x0), 0
+    err_last, err_avg = [], []
+    for t in range(1, iters + 1):
+        g = p.minibatch_gradient(x, rng.batch_indices(p.n_samples, batch))
+        m = gamma * m + (1.0 - gamma) * g
+        x = x - alpha * m
+        if t > n0:
+            total += x
+            count += 1
+        err = float(np.linalg.norm(x - p.x_star))
+        if not err <= blowup:
+            return {"step": t}
+        err_last.append(err)
+        err_avg.append(float(np.linalg.norm(total / count - p.x_star)) if count else math.nan)
+    return {"x": x, "m": m, "sum": total, "err_last": err_last, "err_avg": err_avg}
+
+
+def test_run_cells_matches_textbook_loops():
+    p = generate_quadratic(60, 4, 1.0, 10.0, 6)
+    x0 = p.x_star + np.array([1.0, -0.5, 0.3, 0.8])
+    adaptive = MomentumConfig(alpha=0.02, gamma_mode=GammaMode.ADAPTIVE, batch_size=8)
+    configs = [
+        MomentumConfig(alpha=0.02, gamma=0.0, batch_size=8),
+        MomentumConfig(alpha=0.02, gamma=0.6, batch_size=8),
+        adaptive,
+        MomentumConfig(alpha=10.0, gamma=0.0, batch_size=8),  # diverges
+        MomentumConfig(alpha=0.01, gamma=0.3, batch_size=8),
+    ]
+    n0s = [0, 10, 20, 0, 59]
+    results = run_cells(p, configs, iters=60, seed=7, n0s=n0s, x_init=x0)
+    assert len(results) == len(configs)
+    for cfg, n0, got in zip(configs, n0s, results):
+        want = textbook_cell(p, resolve_gamma(p, cfg), cfg.alpha, n0, 60, 7, 8, x0)
+        if "step" in want:
+            assert isinstance(got, DivergedError)
+            assert got.step == want["step"]
+            with pytest.raises(DivergedError) as alone:
+                run(p, cfg, iters=60, seed=7, n0=n0, x_init=x0)
+            assert alone.value.step == got.step
+            continue
+        state, avg, traj = got
+        assert state.t == 61
+        assert np.array_equal(state.x, want["x"])
+        assert np.array_equal(state.m, want["m"])
+        assert np.array_equal(avg.sum, want["sum"])
+        assert avg.count == 60 - n0
+        assert traj.steps.tolist() == list(range(1, 61))
+        np.testing.assert_array_equal(traj.err_last, want["err_last"])
+        np.testing.assert_array_equal(traj.err_avg, want["err_avg"])  # nan == nan here
+    assert sum(isinstance(r, DivergedError) for r in results) == 1
+
+
+def test_run_cells_validates_arguments():
+    p = generate_quadratic(40, 3, 1.0, 10.0, 8)
+    small = MomentumConfig(alpha=0.01, batch_size=4)
+    large = MomentumConfig(alpha=0.01, batch_size=8)
+    with pytest.raises(ValueError, match="batch size"):
+        run_cells(p, [small, large], iters=10, seed=1, n0s=[0, 0])
+    with pytest.raises(ValueError, match="n0s"):
+        run_cells(p, [small, small], iters=10, seed=1, n0s=[0])
+    with pytest.raises(ValueError, match="empty"):
+        run_cells(p, [], iters=10, seed=1, n0s=[])
 
 
 def test_resolve_gamma_adaptive_uses_problem_curvature():
