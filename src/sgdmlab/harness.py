@@ -133,6 +133,8 @@ class ExperimentConfig:
             raise ValueError("iters must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (self.gammas and self.alphas):
             raise ValueError("gamma and alpha need at least one value each")
         for a in self.alphas:
@@ -627,8 +629,13 @@ def _typed(kind, key: str, val):
 
 
 def _coerce_field(key: str, val):
-    """Type a given value like the field default."""
+    """Type a given value like the field default; a bool or str field takes
+    only a value of its own JSON type, so "no" or null is refused."""
     kind = type(_FIELD_DEFAULTS[key])
+    if kind in (bool, str):
+        if not isinstance(val, kind):
+            raise ValueError(f"{key} expects {kind.__name__}, got {val!r}")
+        return val
     if kind is tuple:
         if not isinstance(val, (list, tuple)) or len(val) != 2:
             raise ValueError(f"{key} expects two numbers, got {val!r}")

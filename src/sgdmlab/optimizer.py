@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 BLOWUP_DEFAULT = 1e12
+# most indices per draw in run_cells: 512 KB of int64
+_INDEX_BLOCK = 1 << 16
 
 
 class DivergedError(RuntimeError):
@@ -119,6 +121,25 @@ def resolve_gamma(problem: ProblemInstance, config: MomentumConfig) -> float:
     return config.gamma
 
 
+def _dist(x: np.ndarray, y: np.ndarray) -> float:
+    """||x - y||, by np.linalg.norm's own arithmetic for a 1-D float vector."""
+    d = x - y
+    return math.sqrt(d.dot(d))
+
+
+def _batches(rng: RngStream, n_samples: int, batch: int, iters: int):
+    """(t, indices) for t = 1..iters. The indices of up to _INDEX_BLOCK //
+    batch steps come from one draw: numpy fills a bounded int64 draw one
+    value at a time from the bit generator, so one draw of C*B indices holds
+    the values of C draws of B in order and leaves the stream where they
+    would."""
+    per_block = max(1, _INDEX_BLOCK // batch)
+    for start in range(1, iters + 1, per_block):
+        steps = min(per_block, iters + 1 - start)
+        block = rng.batch_indices(n_samples, batch * steps).reshape(steps, batch)
+        yield from enumerate(block, start)
+
+
 class _Cell:
     """One configuration's live iterate, average and records in run_cells."""
 
@@ -144,9 +165,12 @@ def run_cells(
     """`run` for K configurations (one batch size) in lockstep on one stream.
 
     Every cell starts at `x_init` (zeros if None) and sees the same batches:
-    each step draws the indices and gathers the batch once, then every live
-    cell takes its own gradient, update, fold (t > its n0) and error check,
-    so each cell is bit-identical to a `run` of it alone.
+    each step gathers the batch once, then every live cell takes its own
+    gradient, update, fold (t > its n0) and error check, so each cell is
+    bit-identical to a `run` of it alone. The indices are drawn in blocks
+    of steps (`_batches`) with the values and order of per-step draws; once
+    every cell has diverged, the stream may sit past the last index used,
+    up to its block's end.
 
     Returns per configuration (OptimizerState, AveragingState, Trajectory),
     or the DivergedError of a cell whose error norm stopped being finite or
@@ -176,14 +200,13 @@ def run_cells(
     results: list = [None] * len(cells)
     live = list(enumerate(cells))
     rng = seed if isinstance(seed, RngStream) else RngStream(int(seed))
-    batch = configs[0].batch_size
-    n_samples = problem.n_samples
+    batches = _batches(rng, problem.n_samples, configs[0].batch_size, iters)
     x_star = problem.x_star
 
     # no finiteness check on the gradient: a non-finite one makes x, and so
     # the error norm, non-finite at the same step
-    for t in range(1, iters + 1):
-        data = problem.gather(rng.batch_indices(n_samples, batch))
+    for t, indices in batches:
+        data = problem.gather(indices)
         record = t <= 1000 or t % record_stride == 0 or t == iters
         diverged = False
         for k, cell in live:
@@ -192,7 +215,7 @@ def run_cells(
             cell.x, cell.m = _momentum_update(cell.x, cell.m, cfg.gamma, cfg.alpha, g)
             x, avg = cell.x, cell.avg
             avg.fold(x, t)
-            err = float(np.linalg.norm(x - x_star))
+            err = _dist(x, x_star)
             if not math.isfinite(err) or err > blowup:
                 results[k] = DivergedError(
                     t, f"error norm {err:.3e} beyond blow-up threshold")
@@ -202,7 +225,7 @@ def run_cells(
                 cell.records.append((
                     t,
                     err,
-                    float(np.linalg.norm(avg.mean - x_star)) if avg.count else math.nan,
+                    _dist(avg.mean, x_star) if avg.count else math.nan,
                     problem.loss(x) if record_loss else math.nan,
                 ))
         if diverged:

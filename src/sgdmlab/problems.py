@@ -80,8 +80,12 @@ class QuadraticProblem:
 
     def gather(self, indices: np.ndarray) -> tuple:
         """The batch's mean Hessian and mean linear term, shared by every
-        iterate evaluated on this batch."""
-        return self.a_mats[indices].mean(axis=0), self.b_vecs[indices].mean(axis=0)
+        iterate evaluated on this batch. The sum runs over the rows in
+        order and is then divided by the count, which is `.mean(axis=0)`'s
+        arithmetic without its per-call overhead."""
+        count = len(indices)
+        return (np.add.reduce(self.a_mats.take(indices, 0), 0) / count,
+                np.add.reduce(self.b_vecs.take(indices, 0), 0) / count)
 
     def batch_gradient(self, batch: tuple, x: np.ndarray) -> np.ndarray:
         """Mini-batch gradient at x from a `gather` result."""
@@ -157,7 +161,7 @@ class LogisticProblem:
 
     def gather(self, indices: np.ndarray) -> tuple:
         """The batch's feature rows and labels."""
-        return self.features[indices], self.labels[indices]
+        return self.features.take(indices, 0), self.labels.take(indices)
 
     def batch_gradient(self, batch: tuple, x: np.ndarray) -> np.ndarray:
         """Mini-batch gradient at x from a `gather` result."""

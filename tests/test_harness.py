@@ -432,7 +432,7 @@ def test_coverage_frozen_reference_run(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI entry
 
-def test_main_success_and_error_paths(tmp_path, capsys):
+def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
     rc = main(["spectrum-map", "--grid", "12", "--out", str(tmp_path / "m")])
     out = capsys.readouterr().out
     assert rc == 0
@@ -455,13 +455,17 @@ def test_main_success_and_error_paths(tmp_path, capsys):
         ["spectrum-map", "--grid", "0"],
         ["spectrum-map", "--mu", "0"],
         ["spectrum-map", "--ell", "-1"],
+        ["convergence", "--seed", "-1", "--n", "50", "--dim", "2", "--iters", "5",
+         "--reps", "1"],
     ]):
         out_dir = tmp_path / f"bad{i}"
         rc = main(argv + ["--out", str(out_dir)])
         assert rc == 2, argv
         assert capsys.readouterr().out.startswith("error: "), argv
         assert not (out_dir / "config.json").exists(), argv
-    # config-file values of a JSON type the field cannot take
+    # config-file values of a JSON type the field cannot take; a payload
+    # that sets out gets no --out flag, which would win over it
+    monkeypatch.chdir(tmp_path)
     for i, payload in enumerate([
         {"experiment": "convergence", "dim": None},
         {"experiment": "convergence", "reps": None},
@@ -469,14 +473,23 @@ def test_main_success_and_error_paths(tmp_path, capsys):
         {"experiment": "convergence", "gamma": None},
         {"experiment": "convergence", "alpha": []},
         {"experiment": "spectrum-map", "alpha_range": 3},
+        {"experiment": "convergence", "paper_scale": "no"},
+        {"experiment": "convergence", "out": None},
     ]):
         path = tmp_path / f"typed{i}.json"
         path.write_text(json.dumps(payload))
         out_dir = tmp_path / f"typed{i}"
-        rc = main(["--config", str(path), "--out", str(out_dir)])
+        argv = ["--config", str(path)]
+        if "out" not in payload:
+            argv += ["--out", str(out_dir)]
+        rc = main(argv)
         assert rc == 2, payload
-        assert capsys.readouterr().out.startswith("error: "), payload
+        out = capsys.readouterr().out
+        assert out.startswith("error: "), payload
+        for key in {"paper_scale", "out"} & payload.keys():
+            assert out.startswith(f"error: {key} expects"), payload
         assert not (out_dir / "config.json").exists(), payload
+        assert not (tmp_path / "None").exists(), payload
 
 
 def test_console_script_runs(tmp_path):

@@ -23,6 +23,7 @@ from sgdmlab import (
     sgdm_step,
     spectral_radius_closed_form,
 )
+from sgdmlab import optimizer
 from sgdmlab.problems import QuadraticProblem
 
 
@@ -223,6 +224,35 @@ def textbook_cell(p, gamma, alpha, n0, iters, seed, batch, x0, blowup=1e12):
     return {"x": x, "m": m, "sum": total, "err_last": err_last, "err_avg": err_avg}
 
 
+def assert_cells_match_textbook(p, configs, n0s, iters, seed, x0):
+    """run_cells against textbook_cell per configuration, bit for bit;
+    returns the divergence steps."""
+    batch = configs[0].batch_size
+    results = run_cells(p, configs, iters=iters, seed=seed, n0s=n0s, x_init=x0)
+    assert len(results) == len(configs)
+    diverged = []
+    for cfg, n0, got in zip(configs, n0s, results):
+        want = textbook_cell(p, resolve_gamma(p, cfg), cfg.alpha, n0, iters, seed, batch, x0)
+        if "step" in want:
+            assert isinstance(got, DivergedError)
+            assert got.step == want["step"]
+            with pytest.raises(DivergedError) as alone:
+                run(p, cfg, iters=iters, seed=seed, n0=n0, x_init=x0)
+            assert alone.value.step == got.step
+            diverged.append(got.step)
+            continue
+        state, avg, traj = got
+        assert state.t == iters + 1
+        assert np.array_equal(state.x, want["x"])
+        assert np.array_equal(state.m, want["m"])
+        assert np.array_equal(avg.sum, want["sum"])
+        assert avg.count == iters - n0
+        assert traj.steps.tolist() == list(range(1, iters + 1))
+        np.testing.assert_array_equal(traj.err_last, want["err_last"])
+        np.testing.assert_array_equal(traj.err_avg, want["err_avg"])  # nan == nan here
+    return diverged
+
+
 def test_run_cells_matches_textbook_loops():
     p = generate_quadratic(60, 4, 1.0, 10.0, 6)
     x0 = p.x_star + np.array([1.0, -0.5, 0.3, 0.8])
@@ -234,28 +264,26 @@ def test_run_cells_matches_textbook_loops():
         MomentumConfig(alpha=10.0, gamma=0.0, batch_size=8),  # diverges
         MomentumConfig(alpha=0.01, gamma=0.3, batch_size=8),
     ]
-    n0s = [0, 10, 20, 0, 59]
-    results = run_cells(p, configs, iters=60, seed=7, n0s=n0s, x_init=x0)
-    assert len(results) == len(configs)
-    for cfg, n0, got in zip(configs, n0s, results):
-        want = textbook_cell(p, resolve_gamma(p, cfg), cfg.alpha, n0, 60, 7, 8, x0)
-        if "step" in want:
-            assert isinstance(got, DivergedError)
-            assert got.step == want["step"]
-            with pytest.raises(DivergedError) as alone:
-                run(p, cfg, iters=60, seed=7, n0=n0, x_init=x0)
-            assert alone.value.step == got.step
-            continue
-        state, avg, traj = got
-        assert state.t == 61
-        assert np.array_equal(state.x, want["x"])
-        assert np.array_equal(state.m, want["m"])
-        assert np.array_equal(avg.sum, want["sum"])
-        assert avg.count == 60 - n0
-        assert traj.steps.tolist() == list(range(1, 61))
-        np.testing.assert_array_equal(traj.err_last, want["err_last"])
-        np.testing.assert_array_equal(traj.err_avg, want["err_avg"])  # nan == nan here
-    assert sum(isinstance(r, DivergedError) for r in results) == 1
+    diverged = assert_cells_match_textbook(p, configs, [0, 10, 20, 0, 59], 60, 7, x0)
+    assert len(diverged) == 1
+
+
+def test_run_cells_matches_textbook_loops_across_index_blocks():
+    # B = 8192 makes an index block 8 steps (optimizer._INDEX_BLOCK // B):
+    # 21 steps are two full blocks and a partial one, against per-step draws
+    batch = 8192
+    assert optimizer._INDEX_BLOCK // batch == 8
+    p = generate_quadratic(60, 4, 1.0, 10.0, 6)
+    x0 = p.x_star + np.array([1.0, -0.5, 0.3, 0.8])
+    configs = [
+        MomentumConfig(alpha=0.02, gamma=0.6, batch_size=batch),
+        MomentumConfig(alpha=0.02, gamma_mode=GammaMode.ADAPTIVE, batch_size=batch),
+        MomentumConfig(alpha=0.8, gamma=0.0, batch_size=batch),  # diverges
+        MomentumConfig(alpha=0.01, gamma=0.3, batch_size=batch),
+    ]
+    diverged = assert_cells_match_textbook(p, configs, [0, 5, 0, 17], 21, 7, x0)
+    (step,) = diverged
+    assert 9 < step < 16  # inside the second block (steps 9-16), not at its edges
 
 
 def test_run_cells_validates_arguments():

@@ -187,6 +187,26 @@ def test_minibatch_rejects_out_of_range_indices():
         minibatch_gradient(p, np.zeros(3), np.array([-1]))
 
 
+@pytest.mark.parametrize("batch", [1, 7, 100, 128, 129, 800])
+def test_gather_equals_fancy_index_and_mean(batch):
+    # run_cells steps on gather's result; it must be the plain definition,
+    # bit for bit, on batches with and without repeated indices
+    quad = generate_quadratic(400, 10, rho=1.0, diag_shift=10.0, seed=4)
+    logit = generate_logistic(400, 5, np.ones(5) / math.sqrt(5), nu=0.1, seed=4)
+    stream = RngStream(4, 1)
+    for _ in range(20):
+        idx = stream.batch_indices(400, batch)
+        a_mean, b_mean = quad.gather(idx)
+        assert np.array_equal(a_mean, quad.a_mats[idx].mean(axis=0))
+        assert np.array_equal(b_mean, quad.b_vecs[idx].mean(axis=0))
+        features, labels = logit.gather(idx)
+        assert np.array_equal(features, logit.features[idx])
+        assert np.array_equal(labels, logit.labels[idx])
+    for p in (quad, logit):
+        with pytest.raises(IndexError):
+            p.gather(np.array([0, 400]))
+
+
 # ---------------------------------------------------------------------------
 # noise statistics
 

@@ -73,6 +73,21 @@ def test_batch_indices_chi_square_uniformity():
     assert chi2 < CHI2_99_CRIT
 
 
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("batch", [1, 3, 100, 801])
+@pytest.mark.parametrize("n", [1, 7, 4000, 2**32 + 5])
+def test_block_draw_equals_successive_draws(n, batch, count):
+    # run_cells draws `count` steps' indices at once; numpy fills a bounded
+    # draw value by value from the bit generator, so the block must hold the
+    # per-step values in order and leave the stream at the same position
+    block_stream, step_stream = RngStream(11, 1), RngStream(11, 1)
+    block = block_stream.batch_indices(n, count * batch).reshape(count, batch)
+    steps = [step_stream.batch_indices(n, batch).tolist() for _ in range(count)]
+    assert block.tolist() == steps
+    assert block_stream.batch_indices(n, batch).tolist() == \
+        step_stream.batch_indices(n, batch).tolist()
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         RngStream(-1)
