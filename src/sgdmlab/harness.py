@@ -620,12 +620,12 @@ _FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)
 
 
 def _typed(kind, key: str, val):
-    """kind(val), refusing a value (a file's may be any JSON) that kind cannot
-    take with a ValueError rather than a TypeError."""
-    try:
-        return kind(val)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} expects {kind.__name__}, got {val!r}") from None
+    """kind(val) for a value of kind's JSON type: an int field takes only an
+    integer, a float field any number; a bool, a string or null (a file's
+    value may be any JSON) is refused with a ValueError, never truncated."""
+    if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
+        raise ValueError(f"{key} expects {kind.__name__}, got {val!r}")
+    return kind(val)
 
 
 def _coerce_field(key: str, val):
@@ -713,7 +713,9 @@ def parse_config(argv=None) -> ExperimentConfig:
         merged.get("gammas", _GAMMA_DEFAULT.get(experiment, ["0"]))
     )
     if "alphas" in merged:
-        alphas = [_typed(float, "alpha", a) for a in np.atleast_1d(merged["alphas"])]
+        raw = merged["alphas"]
+        alphas = [_typed(float, "alpha", a)
+                  for a in (raw if isinstance(raw, (list, tuple)) else [raw])]
     elif experiment == "sensitivity":
         alphas = list(_DYADIC_ALPHAS)
     else:
@@ -724,15 +726,20 @@ def parse_config(argv=None) -> ExperimentConfig:
         n0 = "auto"
     else:
         try:
-            n0 = int(n0_raw)
-        except (TypeError, ValueError):
+            # a flag is a string to parse; a file's number must be an integer
+            n0 = int(n0_raw) if isinstance(n0_raw, str) else _typed(int, "n0", n0_raw)
+        except ValueError:
             raise ValueError(
                 f"n0 expects an integer or 'auto', got {n0_raw!r}"
             ) from None
 
     threads = merged.get("threads")
     if threads is None:
-        threads = os.environ.get(THREADS_ENV_VAR, "1")
+        env = os.environ.get(THREADS_ENV_VAR, "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(f"threads expects int, got {env!r}") from None
 
     return ExperimentConfig(
         experiment=experiment,

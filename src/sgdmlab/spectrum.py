@@ -126,18 +126,6 @@ class SpectralReport:
     gamma_threshold: float
     phi_form_agrees: bool = True
 
-    def to_record(self) -> dict:
-        return {
-            "lam": self.lam,
-            "phi": self.phi,
-            "branch": self.branch,
-            "big_m": self.big_m,
-            "delta": self.delta,
-            "admissible": int(self.admissible),
-            "gamma_threshold": self.gamma_threshold,
-            "phi_form_agrees": int(self.phi_form_agrees),
-        }
-
 
 def _as_spectrum(spectrum_or_hessian) -> HessianSpectrum:
     if isinstance(spectrum_or_hessian, HessianSpectrum):
@@ -272,6 +260,11 @@ def adaptive_gamma(mu: float, alpha: float) -> float:
     return r * r
 
 
+# most doubles of matrix powers held for one batched norm call: 512 KB, the
+# budget of optimizer._INDEX_BLOCK
+_POWER_BLOCK = 1 << 16
+
+
 @dataclass
 class PowerBoundResult:
     ok: bool
@@ -287,19 +280,30 @@ def verify_power_bound(
 
     Returns the maximum observed ||G^j|| / (big_m lam^j). Stops early (with
     partial=True) if the powers overflow, which can happen for lam near 1
-    and long horizons.
+    and long horizons. The powers are formed one at a time into a buffer of
+    at most _POWER_BLOCK doubles, whose norms are one batched SVD call; the
+    ratios and their maximum are the per-power loop's, bit for bit.
     """
     if not math.isfinite(big_m):
         raise ValueError("big_m is infinite (delta = 0 boundary); bound undefined")
     G = np.asarray(gamma_matrix, dtype=float)
+    block = np.empty((max(1, min(horizon, _POWER_BLOCK // G.size)),) + G.shape)
     P = np.eye(G.shape[0])
     max_ratio = 0.0
-    for j in range(1, horizon + 1):
-        P = P @ G
-        if not np.all(np.isfinite(P)):
-            return PowerBoundResult(
-                ok=max_ratio <= 1.0, max_ratio=max_ratio, steps_done=j - 1, partial=True
-            )
-        ratio = np.linalg.norm(P, 2) / (big_m * lam**j)
-        max_ratio = max(max_ratio, float(ratio))
-    return PowerBoundResult(ok=max_ratio <= 1.0, max_ratio=max_ratio, steps_done=horizon)
+    done, overflow = 0, False
+    while done < horizon and not overflow:
+        filled = 0
+        for _ in range(min(len(block), horizon - done)):
+            P = P @ G
+            overflow = not np.isfinite(P).all()
+            if overflow:
+                break
+            block[filled] = P
+            filled += 1
+        if filled:
+            norms = np.linalg.norm(block[:filled], 2, axis=(1, 2))
+            for j, nrm in enumerate(norms, done + 1):
+                max_ratio = max(max_ratio, float(nrm / (big_m * lam**j)))
+        done += filled
+    return PowerBoundResult(ok=max_ratio <= 1.0, max_ratio=max_ratio,
+                            steps_done=done if overflow else horizon, partial=overflow)

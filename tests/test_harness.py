@@ -475,6 +475,14 @@ def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
         {"experiment": "spectrum-map", "alpha_range": 3},
         {"experiment": "convergence", "paper_scale": "no"},
         {"experiment": "convergence", "out": None},
+        {"experiment": "convergence", "reps": 2.7},
+        {"experiment": "convergence", "dim": True},
+        {"experiment": "convergence", "seed": 4.9},
+        {"experiment": "convergence", "n0": 2.7},
+        {"experiment": "convergence", "n0": True},
+        {"experiment": "convergence", "batch_frac": True},
+        {"experiment": "convergence", "alpha": [True]},
+        {"experiment": "convergence", "threads": "2"},
     ]):
         path = tmp_path / f"typed{i}.json"
         path.write_text(json.dumps(payload))

@@ -13,11 +13,13 @@ from sgdmlab import (
     GammaMode,
     HessianSpectrum,
     MomentumConfig,
+    PowerBoundResult,
     adaptive_gamma,
     build_gamma_matrix,
     numeric_spectral_radius,
     optimal_hyperparameters,
     spectral_radius_closed_form,
+    spectrum,
     verify_power_bound,
 )
 
@@ -179,16 +181,6 @@ def test_delta_zero_flags_infinite_m_and_bound_refuses():
         verify_power_bound(G, rep.big_m, rep.lam, 10)
 
 
-def test_report_serializes_flat():
-    spec = HessianSpectrum.from_extremes(1.0, 5.0)
-    rec = spectral_radius_closed_form(spec, MomentumConfig(alpha=0.1, gamma=0.2)).to_record()
-    assert set(rec) == {
-        "lam", "phi", "branch", "big_m", "delta", "admissible",
-        "gamma_threshold", "phi_form_agrees",
-    }
-    assert all(np.isscalar(v) or isinstance(v, str) for v in rec.values())
-
-
 # ---------------------------------------------------------------------------
 # hyperparameter recommendations
 
@@ -282,6 +274,53 @@ def test_power_bound_random_admissible():
         spec, cfg, rep = random_admissible(rng)
         res = verify_power_bound(build_gamma_matrix(spec, cfg), rep.big_m, rep.lam, 100)
         assert res.ok, (spec.eigenvalues, cfg.alpha, cfg.gamma, res.max_ratio)
+
+
+def per_power_reference(G, big_m, lam, horizon):
+    """The power-bound check written out one power at a time."""
+    P = np.eye(G.shape[0])
+    max_ratio = 0.0
+    for j in range(1, horizon + 1):
+        P = P @ G
+        if not np.all(np.isfinite(P)):
+            return PowerBoundResult(max_ratio <= 1.0, max_ratio, j - 1, partial=True)
+        max_ratio = max(max_ratio, float(np.linalg.norm(P, 2) / (big_m * lam**j)))
+    return PowerBoundResult(max_ratio <= 1.0, max_ratio, horizon)
+
+
+def test_power_bound_matches_per_power_loop():
+    # the 4 x 4 to 12 x 12 maps of the random sampler: one block each
+    rng = np.random.default_rng(23)
+    for _ in range(25):
+        spec, cfg, rep = random_admissible(rng)
+        G = build_gamma_matrix(spec, cfg)
+        assert verify_power_bound(G, rep.big_m, rep.lam, 200) == \
+            per_power_reference(G, rep.big_m, rep.lam, 200)
+
+    # 64 curvatures make G 128 x 128, so a block holds 4 powers and a
+    # horizon of 10 is two full blocks and a partial one
+    spec = HessianSpectrum(np.linspace(0.5, 20.0, 64))
+    cfg = MomentumConfig(alpha=0.05, gamma=0.5)
+    rep = spectral_radius_closed_form(spec, cfg)
+    G = build_gamma_matrix(spec, cfg)
+    assert spectrum._POWER_BLOCK // G.size == 4
+    res = verify_power_bound(G, rep.big_m, rep.lam, 10)
+    assert res == per_power_reference(G, rep.big_m, rep.lam, 10)
+    assert res.steps_done == 10 and not res.partial
+
+    # 1e60 Q (Q orthogonal, 128 x 128): the fifth power is finite and the
+    # sixth overflows, the second entry of the second block; the stop leaves
+    # the same warnings as the loop, with no norm or ratio of a non-finite power
+    Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((128, 128)))
+    G = 1e60 * Q
+    caught = []
+    for check in (verify_power_bound, per_power_reference):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            caught.append((check(G, 2.0, 1e60, 50), [str(w.message) for w in seen]))
+    assert caught[0] == caught[1]
+    res, _ = caught[0]
+    assert res.partial and res.steps_done == 5
 
 
 # ---------------------------------------------------------------------------
