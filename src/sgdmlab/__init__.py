@@ -9,7 +9,6 @@ turn that theory into reproducible experiments behind the `sgdmlab` CLI.
 from .inference import (
     CovarianceEstimate,
     DegenerateDirectionError,
-    InferenceReport,
     chi_square_quantile,
     confidence_interval,
     confidence_region_statistic,
@@ -76,7 +75,6 @@ __all__ = [
     "GammaMode",
     "GenerationError",
     "HessianSpectrum",
-    "InferenceReport",
     "LogisticProblem",
     "MomentumConfig",
     "OptimizerState",

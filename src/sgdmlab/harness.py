@@ -442,17 +442,16 @@ def _write_cell_files(cfg: ExperimentConfig, cells, results) -> tuple[list, list
                        "err_avg_mean", "err_avg_median"]
             rows = []
             if alive:
-                steps = alive[0]["steps"]
-                last = np.array([r["err_last"] for r in alive])
-                avg = np.array([r["err_avg"] for r in alive])
-                for j, step in enumerate(steps):
-                    rows.append({
-                        "step": step,
-                        "err_last_mean": float(last[:, j].mean()),
-                        "err_last_median": float(np.median(last[:, j])),
-                        "err_avg_mean": float(avg[:, j].mean()),
-                        "err_avg_median": float(np.median(avg[:, j])),
-                    })
+                # (steps, reps), C-contiguous: reducing the last axis sums a
+                # step's replications pairwise, as the 1-D mean of its column
+                # does; axis 0 of (reps, steps) would sum them in sequence,
+                # which differs in the last bits from 8 replications on
+                aggregates = []
+                for key in ("err_last", "err_avg"):
+                    errs = np.array([r[key] for r in alive]).T.copy()
+                    aggregates += [errs.mean(axis=1), np.median(errs, axis=1)]
+                rows = [dict(zip(columns, values))
+                        for values in zip(alive[0]["steps"], *aggregates)]
             _write_csv(path, header, columns, rows)
         files.append(path)
         summary_rows.append(_cell_summary(cfg, tok, alpha, recs))

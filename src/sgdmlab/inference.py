@@ -23,7 +23,6 @@ from .problems import ProblemInstance
 
 __all__ = [
     "CovarianceEstimate",
-    "InferenceReport",
     "DegenerateDirectionError",
     "plug_in_covariance",
     "z_statistic",
@@ -259,30 +258,3 @@ def confidence_region_statistic(xbar, x_candidate, cov: CovarianceEstimate,
             "omega is singular even after ridge; supply a ridge-regularized omega"
         ) from exc
     return float(B * (n - n0) / cov.sigma2 * (sd @ w))
-
-
-@dataclass
-class InferenceReport:
-    """Per-run inference summary: averaged point, sample sizes, studentized
-    values and intervals per test direction, region statistic, and (when
-    aggregated over replications) empirical coverage."""
-
-    xbar: np.ndarray
-    n: int
-    n0: int
-    B: int
-    z_values: list[float]
-    intervals: list[tuple[float, float]]
-    region_statistic: float
-    coverage: float | None = None
-
-    def to_row(self) -> dict:
-        row = {"n": self.n, "n0": self.n0, "B": self.B,
-               "region_statistic": self.region_statistic}
-        for i, (z, (lo, hi)) in enumerate(zip(self.z_values, self.intervals)):
-            row[f"z_{i}"] = z
-            row[f"lo_{i}"] = lo
-            row[f"hi_{i}"] = hi
-        if self.coverage is not None:
-            row["coverage"] = self.coverage
-        return row

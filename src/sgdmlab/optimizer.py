@@ -81,15 +81,12 @@ class Trajectory:
 
     Every step is recorded while t <= 1000; beyond that only multiples of
     the stride (and the final step), which bounds memory on long runs.
-    Error norms are computed in full precision at the record points; loss
-    recording is optional because a full-batch loss per step is the
-    dominant cost on large sample sets.
+    Error norms are computed in full precision at the record points.
     """
 
     steps: np.ndarray
     err_last: np.ndarray
     err_avg: np.ndarray
-    loss: np.ndarray
     stride: int
 
 
@@ -148,7 +145,7 @@ class _Cell:
         self.x = x
         self.m = np.zeros_like(x)
         self.avg = AveragingState(n0=n0)
-        self.records: list[tuple] = []  # (t, err_last, err_avg, loss)
+        self.records: list[tuple] = []  # (t, err_last, err_avg)
 
 
 def run_cells(
@@ -160,7 +157,6 @@ def run_cells(
     record_stride: int = 1,
     x_init: np.ndarray | None = None,
     blowup: float = BLOWUP_DEFAULT,
-    record_loss: bool = False,
 ) -> list:
     """`run` for K configurations (one batch size) in lockstep on one stream.
 
@@ -226,7 +222,6 @@ def run_cells(
                     t,
                     err,
                     _dist(avg.mean, x_star) if avg.count else math.nan,
-                    problem.loss(x) if record_loss else math.nan,
                 ))
         if diverged:
             live = [(k, cell) for k, cell in live if results[k] is None]
@@ -234,8 +229,8 @@ def run_cells(
                 break
 
     for k, cell in live:
-        steps, err_last, err_avg, loss = (np.array(col) for col in zip(*cell.records))
-        traj = Trajectory(steps=steps, err_last=err_last, err_avg=err_avg, loss=loss,
+        steps, err_last, err_avg = (np.array(col) for col in zip(*cell.records))
+        traj = Trajectory(steps=steps, err_last=err_last, err_avg=err_avg,
                           stride=record_stride)
         state = OptimizerState(x=cell.x, m=cell.m, t=iters + 1, config=cell.config)
         results[k] = (state, cell.avg, traj)
@@ -251,7 +246,6 @@ def run(
     record_stride: int = 1,
     x_init: np.ndarray | None = None,
     blowup: float = BLOWUP_DEFAULT,
-    record_loss: bool = False,
 ):
     """Run momentum SGD for `iters` steps with i.i.d.-with-replacement batches.
 
@@ -265,7 +259,7 @@ def run(
     `blowup`.
     """
     (result,) = run_cells(problem, [config], iters, seed, [n0], record_stride=record_stride,
-                          x_init=x_init, blowup=blowup, record_loss=record_loss)
+                          x_init=x_init, blowup=blowup)
     if isinstance(result, DivergedError):
         raise result
     return result

@@ -267,22 +267,27 @@ def _minimize_full_batch(features, labels, nu, tol=1e-10, max_iters=100_000):
     The Armijo test carries a small absolute slack so rounding in the loss
     difference cannot stall the halving loop near machine precision; a step
     floor guards the same way. Any convergent step sequence yields the same
-    minimizer by strict convexity.
+    minimizer by strict convexity. The accepted trial point's loss is the
+    next iterate's, so each point's loss is evaluated once.
     """
     grad = partial(_logistic_gradient, features, labels, nu)
     loss = partial(_logistic_loss, features, labels, nu)
     x = np.zeros(features.shape[1])
+    f0 = loss(x)
     for it in range(max_iters):
         g = grad(x)
         gn2 = float(g @ g)
         if math.sqrt(gn2) <= tol:
             return x, it
-        f0 = loss(x)
         step = 1.0
         slack = 8e-16 * max(1.0, abs(f0))
-        while step > 1e-12 and loss(x - step * g) > f0 - 0.5 * step * gn2 + slack:
+        while True:
+            trial = x - step * g
+            f = loss(trial)
+            if step <= 1e-12 or f <= f0 - 0.5 * step * gn2 + slack:
+                break
             step *= 0.5
-        x = x - step * g
+        x, f0 = trial, f
     gn = float(np.linalg.norm(grad(x)))
     raise GenerationError(
         f"full-batch descent did not reach gradient norm {tol} in {max_iters} "

@@ -11,6 +11,7 @@ and recommends the rate-optimal (alpha, gamma).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -279,10 +280,12 @@ def verify_power_bound(
     """Check ||G^j||_2 <= big_m * lam^j for j = 1..horizon.
 
     Returns the maximum observed ||G^j|| / (big_m lam^j). Stops early (with
-    partial=True) if the powers overflow, which can happen for lam near 1
-    and long horizons. The powers are formed one at a time into a buffer of
-    at most _POWER_BLOCK doubles, whose norms are one batched SVD call; the
-    ratios and their maximum are the per-power loop's, bit for bit.
+    partial=True) before the first power that overflows, which can happen
+    for lam near 1 and long horizons, or whose bound big_m lam^j falls below
+    the smallest normal double, where the ratio would be inf or NaN. The
+    powers are formed one at a time into a buffer of at most _POWER_BLOCK
+    doubles, whose norms are one batched SVD call; the ratios and their
+    maximum are the per-power loop's, bit for bit.
     """
     if not math.isfinite(big_m):
         raise ValueError("big_m is infinite (delta = 0 boundary); bound undefined")
@@ -290,13 +293,15 @@ def verify_power_bound(
     block = np.empty((max(1, min(horizon, _POWER_BLOCK // G.size)),) + G.shape)
     P = np.eye(G.shape[0])
     max_ratio = 0.0
-    done, overflow = 0, False
-    while done < horizon and not overflow:
+    done, stopped = 0, False
+    while done < horizon and not stopped:
         filled = 0
         for _ in range(min(len(block), horizon - done)):
             P = P @ G
-            overflow = not np.isfinite(P).all()
-            if overflow:
+            # lam**j only for a finite power, as the ratio below takes it
+            stopped = (not np.isfinite(P).all()
+                       or big_m * lam ** (done + filled + 1) < sys.float_info.min)
+            if stopped:
                 break
             block[filled] = P
             filled += 1
@@ -306,4 +311,4 @@ def verify_power_bound(
                 max_ratio = max(max_ratio, float(nrm / (big_m * lam**j)))
         done += filled
     return PowerBoundResult(ok=max_ratio <= 1.0, max_ratio=max_ratio,
-                            steps_done=done if overflow else horizon, partial=overflow)
+                            steps_done=done if stopped else horizon, partial=stopped)

@@ -23,7 +23,7 @@ from sgdmlab import (
     read_csv,
     run_experiment,
 )
-from sgdmlab.harness import _DYADIC_ALPHAS, Z_CRIT
+from sgdmlab.harness import _DYADIC_ALPHAS, Z_CRIT, _run_replication, _tag
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +269,27 @@ def test_cell_csvs_match_golden_digests(tmp_path, experiment):
         if name.endswith(".csv") and name != "summary.csv"
     }
     assert got == GOLDEN_CELL_DIGESTS[experiment]
+
+
+@pytest.mark.parametrize("reps", [9, 100])
+def test_step_aggregates_match_per_column_reference(tmp_path, reps):
+    # from 8 replications on, a sequential sum over them and numpy's pairwise
+    # one differ in the last bits, which the golden digests' 3 or 4 cannot
+    # show; alpha 2 diverges in every replication
+    cfg = tiny_config(tmp_path, alphas=[0.005, 2.0], iters=30, reps=reps)
+    run_experiment(cfg)
+    cells = [(tok, alpha) for tok in cfg.gammas for alpha in cfg.alphas]
+    by_rep = [_run_replication(cfg, cells, rep) for rep in range(reps)]
+    for ci, (tok, alpha) in enumerate(cells):
+        alive = [recs[ci] for recs in by_rep if not recs[ci]["diverged"]]
+        assert len(alive) == (0 if alpha == 2.0 else reps)
+        _, rows = read_csv(os.path.join(cfg.out, f"convergence_g{_tag(tok)}_a{_tag(alpha)}.csv"))
+        assert len(rows) == (0 if alpha == 2.0 else cfg.iters)
+        for key in ("err_last", "err_avg"):
+            errs = np.array([r[key] for r in alive])
+            for j, row in enumerate(rows):
+                assert row[f"{key}_mean"] == errs[:, j].mean()
+                assert row[f"{key}_median"] == np.median(errs[:, j])
 
 
 def test_run_convergence_artifacts(tmp_path):

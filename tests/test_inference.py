@@ -11,7 +11,6 @@ import scipy.stats
 from sgdmlab import (
     CovarianceEstimate,
     DegenerateDirectionError,
-    InferenceReport,
     MomentumConfig,
     RngStream,
     chi_square_quantile,
@@ -279,18 +278,3 @@ def test_near_singular_omega_gets_ridge_and_warns():
         )
     assert math.isfinite(stat)
     assert stat > 0.0
-
-
-def test_report_row_layout():
-    rep = InferenceReport(
-        xbar=np.zeros(2), n=200, n0=50, B=10,
-        z_values=[0.5, -1.2], intervals=[(0.0, 1.0), (-2.0, -1.0)],
-        region_statistic=3.3,
-    )
-    row = rep.to_row()
-    assert row["n"] == 200 and row["B"] == 10
-    assert row["z_1"] == -1.2
-    assert row["lo_0"] == 0.0 and row["hi_1"] == -1.0
-    assert "coverage" not in row
-    rep.coverage = 0.95
-    assert rep.to_row()["coverage"] == 0.95

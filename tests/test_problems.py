@@ -13,9 +13,16 @@ from sgdmlab import (
     generate_quadratic,
     load_problem,
     minibatch_gradient,
+    problems,
     save_problem,
 )
-from sgdmlab.problems import GenerationError, _minimize_full_batch
+from sgdmlab.problems import (
+    GenerationError,
+    _logistic_gradient,
+    _logistic_loss,
+    _minimize_full_batch,
+    _sigmoid,
+)
 
 
 def fd_gradient(f, x, step):
@@ -294,3 +301,51 @@ def test_minimize_full_batch_reports_failure():
     labels = np.ones(40)
     with pytest.raises(GenerationError):
         _minimize_full_batch(features, labels, nu=0.0, max_iters=200)
+
+
+def descent_reference(features, labels, nu, tol=1e-10, max_iters=100_000):
+    """_minimize_full_batch with the loss at x recomputed every iteration;
+    also returns the number of trial points x - step g it tried."""
+    x = np.zeros(features.shape[1])
+    trials = 0
+    for it in range(max_iters):
+        g = _logistic_gradient(features, labels, nu, x)
+        gn2 = float(g @ g)
+        if math.sqrt(gn2) <= tol:
+            return x, it, trials
+        f0 = _logistic_loss(features, labels, nu, x)
+        step = 1.0
+        slack = 8e-16 * max(1.0, abs(f0))
+        trials += 1
+        while (step > 1e-12 and _logistic_loss(features, labels, nu, x - step * g)
+               > f0 - 0.5 * step * gn2 + slack):
+            step *= 0.5
+            trials += 1
+        x = x - step * g
+    raise AssertionError("reference descent did not converge")
+
+
+def test_minimize_full_batch_matches_reference_loop(monkeypatch):
+    calls = []
+
+    def counted_loss(*args):
+        calls.append(1)
+        return _logistic_loss(*args)
+
+    monkeypatch.setattr(problems, "_logistic_loss", counted_loss)
+    backtracked = False
+    # (n, d, nu, feature scale, seed); the scaled features make step 1 too
+    # long, so the third instance backtracks
+    for n, d, nu, scale, seed in [(500, 8, 0.1, 1.0, 3), (800, 5, 0.0, 1.0, 7),
+                                  (200, 4, 0.1, 3.0, 11)]:
+        stream = RngStream(seed)
+        features = scale * stream.standard_normal((n, d))
+        labels = stream.bernoulli(_sigmoid(features @ np.ones(d) / (math.sqrt(d) * scale)))
+        x_ref, it_ref, trials = descent_reference(features, labels, nu)
+        calls.clear()
+        x, it = _minimize_full_batch(features, labels, nu)
+        assert np.array_equal(x, x_ref) and it == it_ref
+        # one loss per trial point, plus the starting point's
+        assert len(calls) == trials + 1
+        backtracked |= trials > it
+    assert backtracked

@@ -1,7 +1,9 @@
 """Iteration-map spectral analysis: closed form vs dense eigensolver,
 phase classification, optimal/adaptive hyperparameters, power bound."""
 
+import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -321,6 +323,23 @@ def test_power_bound_matches_per_power_loop():
     assert caught[0] == caught[1]
     res, _ = caught[0]
     assert res.partial and res.steps_done == 5
+
+
+def test_power_bound_stops_before_the_bound_underflows():
+    # lam = 0.885: from about j = 5,800 on, M lam^j is below the normal range
+    # and then 0, where the ratio would be inf or NaN
+    spec = HessianSpectrum.from_extremes(1.0, 5.0)
+    cfg = MomentumConfig(alpha=0.1, gamma=0.5)
+    rep = spectral_radius_closed_form(spec, cfg)
+    first_low = next(j for j in itertools.count(1)
+                     if rep.big_m * rep.lam**j < sys.float_info.min)
+    assert 5000 < first_low < 7000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = verify_power_bound(build_gamma_matrix(spec, cfg), rep.big_m, rep.lam, 10_000)
+    assert res.ok and res.partial
+    assert res.steps_done == first_low - 1
+    assert res.max_ratio <= 1.0
 
 
 # ---------------------------------------------------------------------------
