@@ -35,9 +35,6 @@ from .problems import (
     QuadraticProblem,
     generate_logistic,
     generate_quadratic,
-    load_problem,
-    minibatch_gradient,
-    save_problem,
 )
 from .rand import GENERATOR_NAME, RngStream
 from .spectrum import (
@@ -93,9 +90,7 @@ __all__ = [
     "generate_logistic",
     "generate_quadratic",
     "ks_normality",
-    "load_problem",
     "main",
-    "minibatch_gradient",
     "normal_cdf",
     "normal_quantile",
     "numeric_spectral_radius",
@@ -107,7 +102,6 @@ __all__ = [
     "run",
     "run_cells",
     "run_experiment",
-    "save_problem",
     "sgdm_step",
     "spectral_radius_closed_form",
     "spectral_report_arrays",

@@ -138,8 +138,8 @@ class ExperimentConfig:
         if not (self.gammas and self.alphas):
             raise ValueError("gamma and alpha need at least one value each")
         for a in self.alphas:
-            if not a > 0:
-                raise ValueError("alpha values must be positive")
+            if not 0.0 < a < math.inf:
+                raise ValueError("alpha values must be positive and finite")
         for g in self.gammas:
             if g != "adaptive" and not 0.0 <= float(g) < 1.0:
                 raise ValueError("gamma must lie in [0,1)")
@@ -152,6 +152,11 @@ class ExperimentConfig:
             raise ValueError("n0 'auto' needs iters >= 2")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if not 0.0 < self.shift < math.inf:
+            raise ValueError("shift must be positive and finite")
+        for key in ("rho", "nu", "offset"):
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be nonnegative and finite")
         # the spectrum map checks its grid here, not per point
         if not (0.0 < self.mu < math.inf and 0.0 < self.ell < math.inf):
             raise ValueError("mu and ell must be positive and finite")
@@ -706,6 +711,8 @@ def parse_config(argv=None) -> ExperimentConfig:
         batch = _typed(int, "batch", merged["batch"])
     else:
         frac = _typed(float, "batch_frac", merged.get("batch_frac", 0.2))
+        if not 0.0 < frac < math.inf:
+            raise ValueError("batch_frac must be positive and finite")
         batch = max(1, int(round(frac * n)))
 
     gammas = _coerce_gammas(

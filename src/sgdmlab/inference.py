@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import ProblemInstance
+from .problems import ProblemInstance, gradient_gram
 
 __all__ = [
     "CovarianceEstimate",
@@ -185,12 +185,8 @@ def plug_in_covariance(problem: ProblemInstance, at: np.ndarray | None = None) -
         return CovarianceEstimate(sigma_matrix=sigma, omega=problem.omega,
                                   sigma2=problem.sigma2)
     at = np.asarray(at, dtype=float)
-    sigma = problem.hessian_at(at)
-    n = problem.n_samples
-    grads = np.stack([problem.per_sample_gradient(at, i) for i in range(n)])
-    sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
-    omega = grads.T @ grads / (n * sigma2)
-    return CovarianceEstimate(sigma_matrix=sigma, omega=omega, sigma2=sigma2)
+    sigma2, omega = gradient_gram(problem.per_sample_gradients(at))
+    return CovarianceEstimate(sigma_matrix=problem.hessian_at(at), omega=omega, sigma2=sigma2)
 
 
 def _direction_scale(omega_vec: np.ndarray, cov: CovarianceEstimate) -> float:

@@ -80,14 +80,13 @@ class Trajectory:
     """Per-step records at the recording points.
 
     Every step is recorded while t <= 1000; beyond that only multiples of
-    the stride (and the final step), which bounds memory on long runs.
+    record_stride (and the final step), which bounds memory on long runs.
     Error norms are computed in full precision at the record points.
     """
 
     steps: np.ndarray
     err_last: np.ndarray
     err_avg: np.ndarray
-    stride: int
 
 
 def _momentum_update(x: np.ndarray, m: np.ndarray, gamma: float, alpha: float,
@@ -230,8 +229,7 @@ def run_cells(
 
     for k, cell in live:
         steps, err_last, err_avg = (np.array(col) for col in zip(*cell.records))
-        traj = Trajectory(steps=steps, err_last=err_last, err_avg=err_avg,
-                          stride=record_stride)
+        traj = Trajectory(steps=steps, err_last=err_last, err_avg=err_avg)
         state = OptimizerState(x=cell.x, m=cell.m, t=iters + 1, config=cell.config)
         results[k] = (state, cell.avg, traj)
     return results

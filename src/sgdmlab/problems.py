@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -23,9 +22,7 @@ __all__ = [
     "ProblemInstance",
     "generate_quadratic",
     "generate_logistic",
-    "minibatch_gradient",
-    "save_problem",
-    "load_problem",
+    "gradient_gram",
 ]
 
 
@@ -75,8 +72,9 @@ class QuadraticProblem:
 
         return HessianSpectrum.from_extremes(self.mu, self.ell)
 
-    def per_sample_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
-        return self.a_mats[i] @ x - self.b_vecs[i]
+    def per_sample_gradients(self, x: np.ndarray) -> np.ndarray:
+        """Row i is component i's gradient at x, shape (N, d)."""
+        return np.einsum("nij,j->ni", self.a_mats, x) - self.b_vecs
 
     def gather(self, indices: np.ndarray) -> tuple:
         """The batch's mean Hessian and mean linear term, shared by every
@@ -155,9 +153,10 @@ class LogisticProblem:
 
         return HessianSpectrum.from_extremes(self.mu, self.ell)
 
-    def per_sample_gradient(self, x: np.ndarray, i: int) -> np.ndarray:
-        a = self.features[i]
-        return (_sigmoid(a @ x) - self.labels[i]) * a + self.nu * x
+    def per_sample_gradients(self, x: np.ndarray) -> np.ndarray:
+        """Row i is sample i's gradient at x, shape (N, d)."""
+        p = _sigmoid(self.features @ x)
+        return (p - self.labels)[:, None] * self.features + self.nu * x
 
     def gather(self, indices: np.ndarray) -> tuple:
         """The batch's feature rows and labels."""
@@ -175,10 +174,7 @@ class LogisticProblem:
         return _logistic_gradient(self.features, self.labels, self.nu, x)
 
     def hessian_at(self, x: np.ndarray) -> np.ndarray:
-        a = self.features
-        w = _sigmoid(a @ x)
-        w = w * (1.0 - w)
-        return (a * w[:, None]).T @ a / self.n_samples + self.nu * np.eye(self.dim)
+        return _logistic_hessian(self.features, self.nu, x)
 
     def loss(self, x: np.ndarray) -> float:
         return _logistic_loss(self.features, self.labels, self.nu, x)
@@ -205,6 +201,20 @@ def _logistic_loss(features, labels, nu, x) -> float:
     return float(np.mean(np.logaddexp(0.0, z) - labels * z) + 0.5 * nu * x @ x)
 
 
+def _logistic_hessian(features, nu, x) -> np.ndarray:
+    """Hessian of the mean logistic loss at x."""
+    w = _sigmoid(features @ x)
+    w = w * (1.0 - w)
+    return (features * w[:, None]).T @ features / features.shape[0] + nu * np.eye(features.shape[1])
+
+
+def gradient_gram(grads: np.ndarray) -> tuple[float, np.ndarray]:
+    """(sigma2, omega) of an (N, d) per-sample gradient array: the mean
+    squared gradient norm and the gradient Gram normalized by N*sigma2."""
+    sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
+    return sigma2, grads.T @ grads / (grads.shape[0] * sigma2)
+
+
 def _resolve_stream(seed) -> tuple[RngStream, int]:
     if isinstance(seed, RngStream):
         return seed, seed.seed
@@ -222,39 +232,42 @@ def generate_quadratic(
     """
     if n_samples < dim:
         raise ValueError("n_samples must be >= dim")
-    if diag_shift <= 0:
-        raise ValueError("diag_shift must be positive")
+    if not 0.0 < diag_shift < math.inf:
+        raise ValueError("diag_shift must be positive and finite")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError("rho must be >= 0 and finite")
     stream, seed_val = _resolve_stream(seed)
     v = stream.standard_normal((n_samples, dim, dim))
     a_mats = rho * np.einsum("nij,nik->njk", v, v) + diag_shift * np.eye(dim)
     b_vecs = stream.standard_normal((n_samples, dim))
-    return QuadraticProblem(
-        **_quadratic_statistics(a_mats, b_vecs),
-        seed=seed_val,
-        rho=float(rho),
-        diag_shift=float(diag_shift),
-    )
+    return _quadratic_statistics(a_mats, b_vecs, seed=seed_val, rho=float(rho),
+                                 diag_shift=float(diag_shift))
 
 
-def _quadratic_statistics(a_mats: np.ndarray, b_vecs: np.ndarray) -> dict:
-    """The data and every derived field of a QuadraticProblem."""
+def _quadratic_statistics(a_mats: np.ndarray, b_vecs: np.ndarray, seed: int, rho: float,
+                          diag_shift: float) -> QuadraticProblem:
+    """The QuadraticProblem on (a_mats, b_vecs) with every derived field; the
+    noise statistics come from its own per-sample gradients at x_star."""
     try:
         x_star = np.linalg.solve(a_mats.sum(axis=0), b_vecs.sum(axis=0))
     except np.linalg.LinAlgError as exc:  # diag_shift > 0 makes this unreachable
         raise RuntimeError("singular mean Hessian") from exc
     per_sample_ev = np.linalg.eigvalsh(a_mats)
-    grads = np.einsum("nij,j->ni", a_mats, x_star) - b_vecs
-    sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
-    return dict(
+    problem = QuadraticProblem(
         a_mats=a_mats,
         b_vecs=b_vecs,
         x_star=x_star,
         sigma_hat=a_mats.mean(axis=0),
         mu=float(per_sample_ev[:, 0].mean()),
         ell=float(per_sample_ev[:, -1].mean()),
-        sigma2=sigma2,
-        omega=grads.T @ grads / (a_mats.shape[0] * sigma2),
+        sigma2=math.nan,
+        omega=None,
+        seed=seed,
+        rho=rho,
+        diag_shift=diag_shift,
     )
+    problem.sigma2, problem.omega = gradient_gram(problem.per_sample_gradients(x_star))
+    return problem
 
 
 class GenerationError(RuntimeError):
@@ -262,33 +275,24 @@ class GenerationError(RuntimeError):
 
 
 def _minimize_full_batch(features, labels, nu, tol=1e-10, max_iters=100_000):
-    """Gradient descent with backtracking to gradient norm <= tol.
+    """Gradient descent at the fixed step 1 / max(1, L) to gradient norm <= tol.
 
-    The Armijo test carries a small absolute slack so rounding in the loss
-    difference cannot stall the halving loop near machine precision; a step
-    floor guards the same way. Any convergent step sequence yields the same
-    minimizer by strict convexity. The accepted trial point's loss is the
-    next iterate's, so each point's loss is evaluated once.
+    The sigmoid's slope is at most 1/4, so L = nu + lambda_max(F'F) / (4n)
+    bounds the curvature of the mean loss and a step of at most 1/L descends
+    at every iterate. The Gram F'F is d x d, so L costs one small
+    eigensolve. Any convergent step sequence yields the same minimizer by
+    strict convexity.
     """
-    grad = partial(_logistic_gradient, features, labels, nu)
-    loss = partial(_logistic_loss, features, labels, nu)
-    x = np.zeros(features.shape[1])
-    f0 = loss(x)
+    n, d = features.shape
+    curvature = nu + np.linalg.eigvalsh(features.T @ features)[-1] / (4.0 * n)
+    step = 1.0 / max(1.0, curvature)
+    x = np.zeros(d)
     for it in range(max_iters):
-        g = grad(x)
-        gn2 = float(g @ g)
-        if math.sqrt(gn2) <= tol:
+        g = _logistic_gradient(features, labels, nu, x)
+        if math.sqrt(float(g @ g)) <= tol:
             return x, it
-        step = 1.0
-        slack = 8e-16 * max(1.0, abs(f0))
-        while True:
-            trial = x - step * g
-            f = loss(trial)
-            if step <= 1e-12 or f <= f0 - 0.5 * step * gn2 + slack:
-                break
-            step *= 0.5
-        x, f0 = trial, f
-    gn = float(np.linalg.norm(grad(x)))
+        x = x - step * g
+    gn = float(np.linalg.norm(_logistic_gradient(features, labels, nu, x)))
     raise GenerationError(
         f"full-batch descent did not reach gradient norm {tol} in {max_iters} "
         f"iterations (final norm {gn:.3e})"
@@ -305,8 +309,8 @@ def generate_logistic(
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError("nu must be >= 0 and finite")
     x_true = np.asarray(x_true, dtype=float)
     if x_true.shape != (dim,):
         raise ValueError("x_true must have shape (dim,)")
@@ -314,27 +318,22 @@ def generate_logistic(
     features = stream.standard_normal((n_samples, dim))
     labels = stream.bernoulli(_sigmoid(features @ x_true))
     x_star, _ = _minimize_full_batch(features, labels, nu)
-    return LogisticProblem(**_logistic_statistics(features, labels, nu, x_star), seed=seed_val)
+    return _logistic_statistics(features, labels, nu, x_star, seed=seed_val)
 
 
 def _logistic_statistics(features: np.ndarray, labels: np.ndarray, nu: float,
-                         x_star: np.ndarray) -> dict:
-    """The data and every derived field of a LogisticProblem; refuses an
-    instance whose Hessian at x_star is not positive definite."""
-    n, d = features.shape
-    p = _sigmoid(features @ x_star)
-    w = p * (1.0 - p)
-    sigma_at_star = (features * w[:, None]).T @ features / n + nu * np.eye(d)
+                         x_star: np.ndarray, seed: int) -> LogisticProblem:
+    """The LogisticProblem with every derived field; refuses an instance
+    whose Hessian at x_star is not positive definite."""
+    sigma_at_star = _logistic_hessian(features, nu, x_star)
     ev = np.linalg.eigvalsh(sigma_at_star)
     if ev[0] <= 0:
         raise GenerationError(
             f"Hessian at the minimizer is not positive definite (lambda_min={ev[0]:.3e}); "
             "increase nu or n_samples"
         )
-    grads = (p - labels)[:, None] * features + nu * x_star
-    sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
     norms = np.linalg.norm(features, axis=1)
-    return dict(
+    problem = LogisticProblem(
         features=features,
         labels=labels,
         nu=float(nu),
@@ -342,57 +341,11 @@ def _logistic_statistics(features: np.ndarray, labels: np.ndarray, nu: float,
         sigma_at_star=sigma_at_star,
         mu=float(ev[0]),
         ell=float(ev[-1]),
-        sigma2=sigma2,
-        omega=grads.T @ grads / (n * sigma2),
+        sigma2=math.nan,
+        omega=None,
         lbar=float(math.sqrt(3.0) / 6.0 * np.mean(norms**3) + nu),
         lf=float(np.mean(norms**2) + nu),
+        seed=seed,
     )
-
-
-def minibatch_gradient(problem: ProblemInstance, x: np.ndarray, indices) -> np.ndarray:
-    indices = np.asarray(indices)
-    if indices.size and (indices.min() < 0 or indices.max() >= problem.n_samples):
-        raise IndexError("batch indices out of range")
-    return problem.minibatch_gradient(x, indices)
-
-
-def save_problem(problem: ProblemInstance, path: str) -> None:
-    """Binary dump (npz) with enough metadata to reload without regeneration."""
-    if problem.family == "quadratic":
-        np.savez_compressed(
-            path,
-            family="quadratic",
-            seed=problem.seed,
-            rho=problem.rho,
-            diag_shift=problem.diag_shift,
-            a_mats=problem.a_mats,
-            b_vecs=problem.b_vecs,
-        )
-    else:
-        np.savez_compressed(
-            path,
-            family="logistic",
-            seed=problem.seed,
-            nu=problem.nu,
-            features=problem.features,
-            labels=problem.labels,
-            x_star=problem.x_star,
-        )
-
-
-def load_problem(path: str) -> ProblemInstance:
-    data = np.load(path, allow_pickle=False)
-    family = str(data["family"])
-    seed = int(data["seed"])
-    if family == "quadratic":
-        return QuadraticProblem(
-            **_quadratic_statistics(data["a_mats"], data["b_vecs"]),
-            seed=seed,
-            rho=float(data["rho"]),
-            diag_shift=float(data["diag_shift"]),
-        )
-    if family == "logistic":
-        stats = _logistic_statistics(data["features"], data["labels"], float(data["nu"]),
-                                     data["x_star"])
-        return LogisticProblem(**stats, seed=seed)
-    raise ValueError(f"unknown problem family {family!r}")
+    problem.sigma2, problem.omega = gradient_gram(problem.per_sample_gradients(x_star))
+    return problem

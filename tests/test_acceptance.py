@@ -302,7 +302,7 @@ def test_criterion_11_gradient_and_hessian_oracles():
             i = int(rng.integers(0, problem.n_samples))
             x = rng.standard_normal(problem.dim)
             step = 1e-6 * (1.0 + np.linalg.norm(x))
-            got = problem.per_sample_gradient(x, i)
+            got = problem.per_sample_gradients(x)[i]
             fd = np.empty(problem.dim)
             for j in range(problem.dim):
                 e = np.zeros(problem.dim)

@@ -478,6 +478,16 @@ def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
         ["spectrum-map", "--ell", "-1"],
         ["convergence", "--seed", "-1", "--n", "50", "--dim", "2", "--iters", "5",
          "--reps", "1"],
+        ["convergence", "--alpha", "inf"],
+        ["convergence", "--shift", "0"],
+        ["convergence", "--rho", "-5"],
+        ["convergence", "--rho", "nan"],
+        ["averaged", "--problem", "logistic", "--nu", "-1"],
+        ["averaged", "--problem", "logistic", "--nu", "nan"],
+        ["convergence", "--batch-frac", "inf"],
+        ["convergence", "--batch-frac", "-1"],
+        ["convergence", "--offset", "-1"],
+        ["convergence", "--offset", "nan"],
     ]):
         out_dir = tmp_path / f"bad{i}"
         rc = main(argv + ["--out", str(out_dir)])
@@ -519,6 +529,15 @@ def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
             assert out.startswith(f"error: {key} expects"), payload
         assert not (out_dir / "config.json").exists(), payload
         assert not (tmp_path / "None").exists(), payload
+
+
+def test_logistic_strong_ridge_runs(tmp_path, capsys):
+    # nu = 2 puts the curvature of the mean loss above 2, where a unit
+    # descent step cannot converge; generation must still find x_star
+    rc = main(["averaged", "--problem", "logistic", "--nu", "2", "--reps", "1",
+               "--iters", "5", "--out", str(tmp_path / "ridge")])
+    assert rc == 0
+    assert "averaged: 3 cell(s), 0 divergent run(s)" in capsys.readouterr().out
 
 
 def test_console_script_runs(tmp_path):

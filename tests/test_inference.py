@@ -16,6 +16,7 @@ from sgdmlab import (
     chi_square_quantile,
     confidence_interval,
     confidence_region_statistic,
+    generate_logistic,
     generate_quadratic,
     ks_normality,
     normal_cdf,
@@ -128,6 +129,37 @@ def test_plug_in_estimation_mode_matches_known_minimizer_mode():
     assert np.allclose(est.sigma_matrix, known.sigma_matrix, atol=1e-14)
     assert np.allclose(est.omega, known.omega, atol=1e-12)
     assert abs(est.sigma2 - known.sigma2) <= 1e-12 * known.sigma2
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_plug_in_away_from_minimizer_matches_per_sample_loop(family):
+    rng = np.random.default_rng(5)
+    if family == "quadratic":
+        p = generate_quadratic(120, 5, 1.0, 10.0, 4)
+    else:
+        p = generate_logistic(120, 5, np.ones(5) / math.sqrt(5.0), nu=0.1, seed=4)
+    x = p.x_star + 0.3 * rng.standard_normal(5)
+    # the estimator written out one sample at a time
+    grads, hess = [], np.zeros((5, 5))
+    for i in range(p.n_samples):
+        if family == "quadratic":
+            grads.append(p.a_mats[i] @ x - p.b_vecs[i])
+            hess += p.a_mats[i]
+        else:
+            a = p.features[i]
+            s = 1.0 / (1.0 + math.exp(-(a @ x)))
+            grads.append((s - p.labels[i]) * a + p.nu * x)
+            hess += s * (1.0 - s) * np.outer(a, a) + p.nu * np.eye(5)
+    grads = np.array(grads)
+    sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
+    omega = grads.T @ grads / (p.n_samples * sigma2)
+    est = plug_in_covariance(p, at=x)
+    assert abs(est.sigma2 - sigma2) <= 1e-12 * sigma2
+    assert np.linalg.norm(est.omega - omega) <= 1e-12 * np.linalg.norm(omega)
+    assert (np.linalg.norm(est.sigma_matrix - hess / p.n_samples)
+            <= 1e-12 * np.linalg.norm(est.sigma_matrix))
+    # away from the minimizer the estimate differs from the oracle's
+    assert est.sigma2 > 1.01 * p.sigma2
 
 
 def test_inference_is_rotation_equivariant():

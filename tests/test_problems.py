@@ -1,21 +1,12 @@
 """Synthetic problem generators: exact minimizers, gradient/Hessian oracles,
-noise statistics, serialization."""
+noise statistics, the full-batch logistic solver."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sgdmlab import (
-    RngStream,
-    generate_logistic,
-    generate_quadratic,
-    load_problem,
-    minibatch_gradient,
-    problems,
-    save_problem,
-)
+from sgdmlab import RngStream, generate_logistic, generate_quadratic
 from sgdmlab.problems import (
     GenerationError,
     _logistic_gradient,
@@ -157,7 +148,7 @@ def test_per_sample_gradient_matches_finite_differences(family):
     for i in (0, 17, 39):
         x = rng.standard_normal(5)
         step = 1e-6 * (1.0 + np.linalg.norm(x))
-        got = p.per_sample_gradient(x, i)
+        got = p.per_sample_gradients(x)[i]
         want = fd_gradient(lambda y: p.per_sample_loss(y, i), x, step)
         assert np.linalg.norm(got - want) <= 1e-6 * (1.0 + np.linalg.norm(want))
 
@@ -182,16 +173,8 @@ def test_full_batch_equals_full_gradient(family):
     else:
         p = generate_logistic(30, 4, np.ones(4) / 2.0, nu=0.1, seed=13)
     x = np.array([0.1, -0.7, 0.4, 0.2])
-    got = minibatch_gradient(p, x, np.arange(30))
+    got = p.minibatch_gradient(x, np.arange(30))
     assert np.allclose(got, p.full_gradient(x), atol=1e-12)
-
-
-def test_minibatch_rejects_out_of_range_indices():
-    p = generate_quadratic(20, 3, rho=1.0, diag_shift=10.0, seed=0)
-    with pytest.raises(IndexError):
-        minibatch_gradient(p, np.zeros(3), np.array([0, 20]))
-    with pytest.raises(IndexError):
-        minibatch_gradient(p, np.zeros(3), np.array([-1]))
 
 
 @pytest.mark.parametrize("batch", [1, 7, 100, 128, 129, 800])
@@ -226,15 +209,17 @@ def test_gradient_gram_statistics(family):
     assert np.allclose(p.omega, p.omega.T, atol=1e-14)
     assert np.linalg.eigvalsh(p.omega)[0] >= -1e-12
     assert abs(np.trace(p.omega) - 1.0) <= 1e-12
-    mean_sq = np.mean([
-        p.per_sample_gradient(p.x_star, i) @ p.per_sample_gradient(p.x_star, i)
-        for i in range(p.n_samples)
-    ])
+    if family == "quadratic":
+        grads = [p.a_mats[i] @ p.x_star - p.b_vecs[i] for i in range(p.n_samples)]
+    else:
+        grads = [(_sigmoid(a @ p.x_star) - b) * a + p.nu * p.x_star
+                 for a, b in zip(p.features, p.labels)]
+    mean_sq = np.mean([g @ g for g in grads])
     assert abs(p.sigma2 - mean_sq) <= 1e-12 * max(1.0, mean_sq)
 
 
 # ---------------------------------------------------------------------------
-# determinism and serialization
+# determinism
 
 def test_same_seed_regenerates_identically():
     a = generate_quadratic(25, 4, rho=1.0, diag_shift=10.0, seed=77)
@@ -256,42 +241,20 @@ def test_stream_seed_equivalent_to_int_seed():
     assert a.seed == b.seed == 5
 
 
-def assert_same_fields(q, p):
-    # generation and loading derive the statistics through the same code
-    for f in dataclasses.fields(p):
-        assert np.array_equal(getattr(q, f.name), getattr(p, f.name)), f.name
-
-
-def test_save_load_round_trip_quadratic(tmp_path):
-    p = generate_quadratic(20, 3, rho=1.0, diag_shift=10.0, seed=33)
-    path = str(tmp_path / "quad.npz")
-    save_problem(p, path)
-    q = load_problem(path)
-    assert q.family == "quadratic"
-    assert_same_fields(q, p)
-
-
-def test_save_load_round_trip_logistic(tmp_path):
-    p = generate_logistic(20, 3, np.ones(3) / 2.0, nu=0.1, seed=33)
-    path = str(tmp_path / "logit.npz")
-    save_problem(p, path)
-    q = load_problem(path)
-    assert q.family == "logistic"
-    assert_same_fields(q, p)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
 def test_generation_rejects_bad_arguments():
     with pytest.raises(ValueError):
         generate_quadratic(2, 3, rho=1.0, diag_shift=10.0, seed=0)  # n < dim
-    with pytest.raises(ValueError):
-        generate_quadratic(10, 3, rho=1.0, diag_shift=0.0, seed=0)
+    for rho, shift in [(1.0, 0.0), (1.0, math.nan), (-5.0, 10.0), (math.nan, 10.0)]:
+        with pytest.raises(ValueError):
+            generate_quadratic(10, 3, rho=rho, diag_shift=shift, seed=0)
     with pytest.raises(ValueError):
         generate_logistic(10, 3, np.ones(4), nu=0.1, seed=0)  # shape mismatch
-    with pytest.raises(ValueError):
-        generate_logistic(10, 3, np.ones(3), nu=-0.1, seed=0)
+    for nu in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            generate_logistic(10, 3, np.ones(3), nu=nu, seed=0)
 
 
 def test_minimize_full_batch_reports_failure():
@@ -304,48 +267,53 @@ def test_minimize_full_batch_reports_failure():
 
 
 def descent_reference(features, labels, nu, tol=1e-10, max_iters=100_000):
-    """_minimize_full_batch with the loss at x recomputed every iteration;
-    also returns the number of trial points x - step g it tried."""
+    """The backtracking descent the solver ran before its fixed step: try
+    step 1, halve it until an Armijo test with a small slack passes; also
+    returns how many halvings it made."""
     x = np.zeros(features.shape[1])
-    trials = 0
+    halvings = 0
     for it in range(max_iters):
         g = _logistic_gradient(features, labels, nu, x)
         gn2 = float(g @ g)
         if math.sqrt(gn2) <= tol:
-            return x, it, trials
+            return x, it, halvings
         f0 = _logistic_loss(features, labels, nu, x)
         step = 1.0
         slack = 8e-16 * max(1.0, abs(f0))
-        trials += 1
         while (step > 1e-12 and _logistic_loss(features, labels, nu, x - step * g)
                > f0 - 0.5 * step * gn2 + slack):
             step *= 0.5
-            trials += 1
+            halvings += 1
         x = x - step * g
     raise AssertionError("reference descent did not converge")
 
 
-def test_minimize_full_batch_matches_reference_loop(monkeypatch):
-    calls = []
+def curvature_bound(features, nu):
+    """nu + lambda_max(F'F) / (4n), the largest curvature of the mean loss."""
+    return nu + np.linalg.eigvalsh(features.T @ features)[-1] / (4 * features.shape[0])
 
-    def counted_loss(*args):
-        calls.append(1)
-        return _logistic_loss(*args)
 
-    monkeypatch.setattr(problems, "_logistic_loss", counted_loss)
-    backtracked = False
-    # (n, d, nu, feature scale, seed); the scaled features make step 1 too
-    # long, so the third instance backtracks
-    for n, d, nu, scale, seed in [(500, 8, 0.1, 1.0, 3), (800, 5, 0.0, 1.0, 7),
-                                  (200, 4, 0.1, 3.0, 11)]:
-        stream = RngStream(seed)
-        features = scale * stream.standard_normal((n, d))
-        labels = stream.bernoulli(_sigmoid(features @ np.ones(d) / (math.sqrt(d) * scale)))
-        x_ref, it_ref, trials = descent_reference(features, labels, nu)
-        calls.clear()
+def solver_data(n, d, scale, seed):
+    stream = RngStream(seed)
+    features = scale * stream.standard_normal((n, d))
+    labels = stream.bernoulli(_sigmoid(features @ np.ones(d) / (math.sqrt(d) * scale)))
+    return features, labels
+
+
+def test_minimize_full_batch_matches_reference_loop():
+    # where L <= 1 the fixed step is 1, the step the reference always took
+    for n, d, nu, seed in [(500, 8, 0.1, 3), (800, 5, 0.0, 7)]:
+        features, labels = solver_data(n, d, 1.0, seed)
+        assert curvature_bound(features, nu) <= 1.0
+        x_ref, it_ref, halvings = descent_reference(features, labels, nu)
+        assert halvings == 0
         x, it = _minimize_full_batch(features, labels, nu)
         assert np.array_equal(x, x_ref) and it == it_ref
-        # one loss per trial point, plus the starting point's
-        assert len(calls) == trials + 1
-        backtracked |= trials > it
-    assert backtracked
+    # where step 1 exceeds 2/L: scaled features (L about 3), and a ridge on
+    # which the backtracking solver oscillated until its iteration cap
+    ridge = generate_logistic(200, 4, np.ones(4) / 2.0, nu=2.0, seed=1)
+    for features, labels, nu in [(*solver_data(200, 4, 3.0, 11), 0.1),
+                                 (ridge.features, ridge.labels, ridge.nu)]:
+        assert curvature_bound(features, nu) > 2.0
+        x, _ = _minimize_full_batch(features, labels, nu)
+        assert np.linalg.norm(_logistic_gradient(features, labels, nu, x)) <= 1e-10
