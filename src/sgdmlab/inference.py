@@ -38,16 +38,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # distribution helpers
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def normal_cdf(x):
-    """Standard normal CDF via the complementary error function."""
+    """Standard normal CDF via the complementary error function; an array
+    gets math.erfc element by element, the scalar path's values."""
     if np.isscalar(x):
         return 0.5 * math.erfc(-x / math.sqrt(2.0))
-    arr = np.asarray(x, dtype=float)
-    out = np.empty(arr.shape)
-    flat, oflat = arr.ravel(), out.ravel()
-    for i in range(flat.size):
-        oflat[i] = 0.5 * math.erfc(-flat[i] / math.sqrt(2.0))
-    return out
+    return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
 
 
 def normal_quantile(p: float) -> float:

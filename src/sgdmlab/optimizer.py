@@ -32,6 +32,8 @@ __all__ = [
 BLOWUP_DEFAULT = 1e12
 # most indices per draw in run_cells: 512 KB of int64
 _INDEX_BLOCK = 1 << 16
+# most doubles per gather in run_cells: 256 KB
+_GATHER_BLOCK = 1 << 15
 
 
 class DivergedError(RuntimeError):
@@ -123,17 +125,22 @@ def _dist(x: np.ndarray, y: np.ndarray) -> float:
     return math.sqrt(d.dot(d))
 
 
-def _batches(rng: RngStream, n_samples: int, batch: int, iters: int):
-    """(t, indices) for t = 1..iters. The indices of up to _INDEX_BLOCK //
-    batch steps come from one draw: numpy fills a bounded int64 draw one
-    value at a time from the bit generator, so one draw of C*B indices holds
-    the values of C draws of B in order and leaves the stream where they
-    would."""
+def _batches(rng: RngStream, problem: ProblemInstance, batch: int, iters: int):
+    """Each step's `gather` result, for steps 1..iters in order.
+
+    The indices of up to _INDEX_BLOCK // batch steps come from one draw:
+    numpy fills a bounded int64 draw one value at a time from the bit
+    generator, so one draw of C*B indices holds the values of C draws of B
+    in order and leaves the stream where they would. The steps of a draw
+    are gathered in blocks of at most _GATHER_BLOCK doubles.
+    """
+    per_gather = max(1, _GATHER_BLOCK // (batch * problem._gathered_per_sample))
     per_block = max(1, _INDEX_BLOCK // batch)
     for start in range(1, iters + 1, per_block):
         steps = min(per_block, iters + 1 - start)
-        block = rng.batch_indices(n_samples, batch * steps).reshape(steps, batch)
-        yield from enumerate(block, start)
+        block = rng.batch_indices(problem.n_samples, batch * steps).reshape(steps, batch)
+        for first in range(0, steps, per_gather):
+            yield from zip(*problem.gather(block[first:first + per_gather]))
 
 
 class _Cell:
@@ -160,12 +167,12 @@ def run_cells(
     """`run` for K configurations (one batch size) in lockstep on one stream.
 
     Every cell starts at `x_init` (zeros if None) and sees the same batches:
-    each step gathers the batch once, then every live cell takes its own
+    each step's batch is gathered once, then every live cell takes its own
     gradient, update, fold (t > its n0) and error check, so each cell is
-    bit-identical to a `run` of it alone. The indices are drawn in blocks
-    of steps (`_batches`) with the values and order of per-step draws; once
-    every cell has diverged, the stream may sit past the last index used,
-    up to its block's end.
+    bit-identical to a `run` of it alone. The indices are drawn and
+    gathered in blocks of steps (`_batches`) with the values and order of
+    per-step draws and gathers; once every cell has diverged, the stream
+    may sit past the last index used, up to its block's end.
 
     Returns per configuration (OptimizerState, AveragingState, Trajectory),
     or the DivergedError of a cell whose error norm stopped being finite or
@@ -195,13 +202,12 @@ def run_cells(
     results: list = [None] * len(cells)
     live = list(enumerate(cells))
     rng = seed if isinstance(seed, RngStream) else RngStream(int(seed))
-    batches = _batches(rng, problem.n_samples, configs[0].batch_size, iters)
+    batches = _batches(rng, problem, configs[0].batch_size, iters)
     x_star = problem.x_star
 
     # no finiteness check on the gradient: a non-finite one makes x, and so
     # the error norm, non-finite at the same step
-    for t, indices in batches:
-        data = problem.gather(indices)
+    for t, data in enumerate(batches, 1):
         record = t <= 1000 or t % record_stride == 0 or t == iters
         diverged = False
         for k, cell in live:

@@ -30,7 +30,8 @@ __all__ = [
 class QuadraticProblem:
     """N random quadratic component losses with a shared exact minimizer.
 
-    a_mats[i] is symmetric positive definite; x_star solves the first-order
+    a_mats[i] is symmetric positive definite, and symmetric bit for bit,
+    which `gather` checks on first use; x_star solves the first-order
     condition sum(A_i) x = sum(b_i). sigma_hat is the mean Hessian. mu/ell
     are the average extreme curvatures across component losses, the values
     the tuning rules (adaptive momentum, optimal hyperparameters) consume;
@@ -78,12 +79,39 @@ class QuadraticProblem:
 
     def gather(self, indices: np.ndarray) -> tuple:
         """The batch's mean Hessian and mean linear term, shared by every
-        iterate evaluated on this batch. The sum runs over the rows in
-        order and is then divided by the count, which is `.mean(axis=0)`'s
-        arithmetic without its per-call overhead."""
-        count = len(indices)
-        return (np.add.reduce(self.a_mats.take(indices, 0), 0) / count,
-                np.add.reduce(self.b_vecs.take(indices, 0), 0) / count)
+        iterate evaluated on this batch; a (C, B) block of C batches gives
+        (C, d, d) and (C, d). Each entry is `.mean(axis=0)`'s arithmetic, an
+        in-order sum over the batch rows divided by B. The Hessians are
+        summed as packed upper triangles (each A_i is symmetric bit for bit)
+        and unpacked C-contiguous. A block is taken batch row first, so one
+        numpy inner loop adds row k of all C batches; at d = 1 numpy sums a
+        batch's one-double rows pairwise, so each batch keeps its own axis.
+        """
+        if self._upper is None:
+            self._pack()
+        count = indices.shape[-1]
+        if self.dim > 1:
+            indices, axis = indices.T, 0
+        else:
+            axis = -2
+        upper = np.add.reduce(self._upper.take(indices, 0), axis) / count
+        return (upper.take(self._unpack, -1),
+                np.add.reduce(self.b_vecs.take(indices, 0), axis) / count)
+
+    @property
+    def _gathered_per_sample(self) -> int:
+        """Doubles `gather` reads per batch row: the packed triangle and b_i."""
+        return self.dim * (self.dim + 1) // 2 + self.dim
+
+    def _pack(self) -> None:
+        """Build the (N, d(d+1)/2) upper triangles `gather` sums, on first
+        use so that an instance that never gathers never holds them."""
+        if not np.array_equal(self.a_mats, self.a_mats.transpose(0, 2, 1)):
+            raise ValueError("a_mats must be bitwise symmetric to be gathered")
+        rows, cols = np.triu_indices(self.dim)
+        unpack = np.empty((self.dim, self.dim), dtype=np.intp)
+        unpack[rows, cols] = unpack[cols, rows] = np.arange(rows.size)
+        self._upper, self._unpack = np.ascontiguousarray(self.a_mats[:, rows, cols]), unpack
 
     def batch_gradient(self, batch: tuple, x: np.ndarray) -> np.ndarray:
         """Mini-batch gradient at x from a `gather` result."""
@@ -107,6 +135,7 @@ class QuadraticProblem:
 
     def __post_init__(self):
         self._b_mean = self.b_vecs.mean(axis=0)
+        self._upper = None
 
 
 @dataclass
@@ -159,8 +188,14 @@ class LogisticProblem:
         return (p - self.labels)[:, None] * self.features + self.nu * x
 
     def gather(self, indices: np.ndarray) -> tuple:
-        """The batch's feature rows and labels."""
+        """The batch's feature rows and labels; a (C, B) block of C batches
+        gives (C, B, d) rows and (C, B) labels."""
         return self.features.take(indices, 0), self.labels.take(indices)
+
+    @property
+    def _gathered_per_sample(self) -> int:
+        """Doubles `gather` reads per batch row: the feature row and label."""
+        return self.dim + 1
 
     def batch_gradient(self, batch: tuple, x: np.ndarray) -> np.ndarray:
         """Mini-batch gradient at x from a `gather` result."""
@@ -210,8 +245,11 @@ def _logistic_hessian(features, nu, x) -> np.ndarray:
 
 def gradient_gram(grads: np.ndarray) -> tuple[float, np.ndarray]:
     """(sigma2, omega) of an (N, d) per-sample gradient array: the mean
-    squared gradient norm and the gradient Gram normalized by N*sigma2."""
+    squared gradient norm and the gradient Gram normalized by N*sigma2.
+    Where every gradient is zero, so is omega."""
     sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
+    if sigma2 == 0.0:
+        return sigma2, np.zeros((grads.shape[1], grads.shape[1]))
     return sigma2, grads.T @ grads / (grads.shape[0] * sigma2)
 
 

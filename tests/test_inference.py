@@ -50,6 +50,15 @@ def test_normal_cdf_quantile_mutual_inverses():
         assert abs(normal_cdf(normal_quantile(p)) - p) <= 1e-12
 
 
+def test_normal_cdf_array_equals_scalar_path():
+    xs = np.concatenate([np.linspace(-40.0, 40.0, 1601), [-np.inf, np.inf, -0.0, 5e-324, np.nan],
+                         RngStream(3).standard_normal(500)])
+    want = np.array([0.5 * math.erfc(-float(x) / math.sqrt(2.0)) for x in xs])
+    assert np.array_equal(normal_cdf(xs), want, equal_nan=True)
+    assert np.array_equal(normal_cdf(xs[:1600].reshape(40, 40)), want[:1600].reshape(40, 40))
+    assert normal_cdf(np.array(0.3)) == normal_cdf(0.3)
+
+
 def test_normal_cdf_array_and_symmetry():
     xs = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     vals = normal_cdf(xs)

@@ -2,12 +2,14 @@
 divergence handling, burn-in rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sgdmlab import (
     AveragingState,
+    DegenerateDirectionError,
     DivergedError,
     GammaMode,
     HessianSpectrum,
@@ -17,11 +19,13 @@ from sgdmlab import (
     adaptive_gamma,
     choose_burn_in,
     generate_quadratic,
+    plug_in_covariance,
     resolve_gamma,
     run,
     run_cells,
     sgdm_step,
     spectral_radius_closed_form,
+    z_statistic,
 )
 from sgdmlab import optimizer
 from sgdmlab.problems import QuadraticProblem
@@ -112,6 +116,20 @@ def test_run_stays_at_minimizer_without_noise():
     assert np.array_equal(state.x, p.x_star)
     assert traj.err_last.max() == 0.0
     assert np.linalg.norm(avg.mean - p.x_star) == 0.0
+
+
+def test_noiseless_instance_has_zero_plug_in_sandwich():
+    # at dim 2, x_star = (1, 2) makes every product exact, so each
+    # per-sample gradient at x_star is zero bit for bit in any summation order
+    p = constant_quadratic(dim=2)
+    assert not p.per_sample_gradients(p.x_star).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 in the gradient Gram
+        cov = plug_in_covariance(p, at=p.x_star)
+    assert cov.sigma2 == 0.0
+    assert not cov.omega.any() and not cov.sandwich.any()
+    with pytest.raises(DegenerateDirectionError):
+        z_statistic(p.x_star, p.x_star, np.array([1.0, 0.0]), cov, 100, 0, 10)
 
 
 def test_run_is_deterministic():
@@ -284,6 +302,26 @@ def test_run_cells_matches_textbook_loops_across_index_blocks():
     diverged = assert_cells_match_textbook(p, configs, [0, 5, 0, 17], 21, 7, x0)
     (step,) = diverged
     assert 9 < step < 16  # inside the second block (steps 9-16), not at its edges
+
+
+def test_run_cells_matches_textbook_loops_across_gather_blocks():
+    # B = 700 at d = 4 (10 + 4 packed doubles per sample) makes a gather
+    # block 3 steps: cells diverge in the middle of the block of steps 7-9,
+    # at its last step and at the first step of the next block, while the
+    # others step on to a partial block
+    batch = 700
+    assert optimizer._GATHER_BLOCK // (batch * 14) == 3
+    p = generate_quadratic(60, 4, 1.0, 10.0, 6)
+    x0 = p.x_star + np.array([1.0, -0.5, 0.3, 0.8])
+    configs = [
+        MomentumConfig(alpha=0.02, gamma=0.6, batch_size=batch),
+        MomentumConfig(alpha=2.3, gamma=0.0, batch_size=batch),  # diverges at 8
+        MomentumConfig(alpha=1.6, gamma=0.0, batch_size=batch),  # diverges at 9
+        MomentumConfig(alpha=1.2, gamma=0.0, batch_size=batch),  # diverges at 10
+        MomentumConfig(alpha=0.02, gamma_mode=GammaMode.ADAPTIVE, batch_size=batch),
+    ]
+    diverged = assert_cells_match_textbook(p, configs, [0, 0, 0, 0, 3], 14, 7, x0)
+    assert diverged == [8, 9, 10]
 
 
 def test_run_cells_validates_arguments():

@@ -1,12 +1,13 @@
 """Synthetic problem generators: exact minimizers, gradient/Hessian oracles,
 noise statistics, the full-batch logistic solver."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sgdmlab import RngStream, generate_logistic, generate_quadratic
+from sgdmlab import MomentumConfig, RngStream, generate_logistic, generate_quadratic, run
 from sgdmlab.problems import (
     GenerationError,
     _logistic_gradient,
@@ -195,6 +196,56 @@ def test_gather_equals_fancy_index_and_mean(batch):
     for p in (quad, logit):
         with pytest.raises(IndexError):
             p.gather(np.array([0, 400]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 10])
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_gather_block_equals_per_step_gathers(family, dim):
+    # run_cells gathers C steps' batches at once: step c's slice of the
+    # block must be that batch's own gather and the plain definition, bit
+    # for bit, and the quadratic mean Hessian must be C-contiguous (the
+    # matvec's last bits depend on the layout)
+    if family == "quadratic":
+        p = generate_quadratic(400, dim, rho=1.0, diag_shift=10.0, seed=5)
+        arrays = (p.a_mats, p.b_vecs)
+    else:
+        p = generate_logistic(400, dim, np.ones(dim) / math.sqrt(dim), nu=0.1, seed=5)
+        arrays = (p.features, p.labels)
+    stream = RngStream(5, 1)
+    for batch in (1, 7, 100, 800):
+        for steps in (1, 3, 5):
+            block = stream.batch_indices(400, steps * batch).reshape(steps, batch)
+            got = p.gather(block)
+            for c, indices in enumerate(block):
+                alone = p.gather(indices)
+                for part, one, full in zip(got, alone, arrays):
+                    want = full[indices].mean(axis=0) if family == "quadratic" else full[indices]
+                    assert np.array_equal(part[c], one)
+                    assert np.array_equal(part[c], want)
+                if family == "quadratic":
+                    assert alone[0].flags.c_contiguous
+            if family == "quadratic":
+                assert got[0].shape == (steps, dim, dim) and got[0].flags.c_contiguous
+
+
+def test_generated_hessians_are_bitwise_symmetric():
+    # the quadratic gather sums upper triangles only, which needs A_i == A_i'
+    for dim in (1, 2, 3, 5, 10):
+        for seed in (0, 1, 2, 3):
+            for rho in (0.3, 1.0):
+                p = generate_quadratic(20, dim, rho=rho, diag_shift=10.0, seed=seed)
+                assert np.array_equal(p.a_mats, p.a_mats.transpose(0, 2, 1))
+
+
+def test_gather_refuses_asymmetric_hessians():
+    p = generate_quadratic(30, 3, rho=1.0, diag_shift=10.0, seed=2)
+    a_mats = p.a_mats.copy()
+    a_mats[4, 0, 2] = np.nextafter(a_mats[4, 0, 2], np.inf)
+    bad = dataclasses.replace(p, a_mats=a_mats)
+    with pytest.raises(ValueError, match="symmetric"):
+        bad.gather(np.arange(3))
+    with pytest.raises(ValueError, match="symmetric"):
+        run(bad, MomentumConfig(alpha=0.01, batch_size=4), iters=5, seed=1)
 
 
 # ---------------------------------------------------------------------------
