@@ -56,32 +56,35 @@ __all__ = [
 THREADS_ENV_VAR = "SGDMLAB_THREADS"
 Z_CRIT = 1.959963984540054
 
-EXPERIMENTS = (
-    "convergence",
-    "averaged",
-    "sensitivity",
-    "coverage",
-    "spectrum-map",
-    "power-bound",
-)
-
-_DESK = {"n": 4000, "reps": 100}
-_PAPER = {"n": 20000, "reps": 200}
-_ITERS_DEFAULT = {
-    "convergence": 1000,
-    "averaged": 2000,
-    "sensitivity": 500,
-    "coverage": 2000,
-    "power-bound": 200,
-    "spectrum-map": 0,
-}
-_GAMMA_DEFAULT = {
-    "convergence": ["0", "0.9", "adaptive"],
-    "averaged": ["0", "0.9", "adaptive"],
-    "sensitivity": ["0", "0.8", "0.9"],
-    "coverage": ["adaptive"],
-}
 _DYADIC_ALPHAS = [2.0**k for k in range(1, -7, -1)]
+# each experiment's own defaults; an experiment without alphas here steps at
+# 0.5 on the logistic family and 0.001 on the quadratic one
+_EXPERIMENT_DEFAULTS = {
+    "convergence": {"iters": 1000, "gammas": ["0", "0.9", "adaptive"], "n0": 0},
+    "averaged": {"iters": 2000, "gammas": ["0", "0.9", "adaptive"], "n0": "auto"},
+    "sensitivity": {"iters": 500, "gammas": ["0", "0.8", "0.9"], "n0": 0,
+                    "alphas": _DYADIC_ALPHAS},
+    "coverage": {"iters": 2000, "gammas": ["adaptive"], "n0": "auto"},
+    "spectrum-map": {"iters": 0, "gammas": ["0"], "n0": 0},
+    "power-bound": {"iters": 200, "gammas": ["0"], "n0": 0},
+}
+EXPERIMENTS = tuple(_EXPERIMENT_DEFAULTS)
+# desk and paper (--paper-scale) scale
+_SCALES = {False: {"n": 4000, "reps": 100}, True: {"n": 20000, "reps": 200}}
+
+
+def _tag(value) -> str:
+    """A gamma token or alpha as it names cells: the number's :g form where
+    that reads back as the same float, its repr where it does not."""
+    if value == "adaptive":
+        return "adaptive"
+    short = f"{float(value):g}"
+    return short if float(short) == float(value) else repr(float(value))
+
+
+def _check_gamma(token: str) -> None:
+    if token != "adaptive" and not 0.0 <= float(token) < 1.0:
+        raise ValueError("gamma must lie in [0,1)")
 
 
 @dataclass
@@ -141,8 +144,11 @@ class ExperimentConfig:
             if not 0.0 < a < math.inf:
                 raise ValueError("alpha values must be positive and finite")
         for g in self.gammas:
-            if g != "adaptive" and not 0.0 <= float(g) < 1.0:
-                raise ValueError("gamma must lie in [0,1)")
+            _check_gamma(g)
+        names = [(_tag(g), _tag(a)) for g in self.gammas for a in self.alphas]
+        if len(set(names)) < len(names):
+            raise ValueError("two (gamma, alpha) cells would write one file: "
+                             "give distinct gamma and alpha values")
         if self.n0 != "auto" and not 0 <= int(self.n0):
             raise ValueError("n0 must be 'auto' or a nonnegative integer")
         if stepped and self.n0 != "auto" and int(self.n0) >= self.iters:
@@ -250,10 +256,13 @@ def _make_problem(cfg: ExperimentConfig, rep: int):
     return generate_logistic(cfg.n, cfg.dim, x_true, cfg.nu, seed)
 
 
-def _momentum_config(cfg: ExperimentConfig, gamma_token: str, alpha: float) -> MomentumConfig:
+def _momentum_config(cfg: ExperimentConfig, problem, gamma_token: str,
+                     alpha: float) -> MomentumConfig:
+    """A cell's configuration, an adaptive gamma resolved on `problem`."""
     if gamma_token == "adaptive":
-        return MomentumConfig(alpha=alpha, gamma=0.0, batch_size=cfg.batch,
+        mcfg = MomentumConfig(alpha=alpha, gamma=0.0, batch_size=cfg.batch,
                               gamma_mode=GammaMode.ADAPTIVE)
+        return replace(mcfg, gamma=resolve_gamma(problem, mcfg), gamma_mode=GammaMode.FIXED)
     return MomentumConfig(alpha=alpha, gamma=float(gamma_token), batch_size=cfg.batch)
 
 
@@ -265,7 +274,7 @@ def _resolve_n0(cfg: ExperimentConfig, lam: float) -> int:
     return max(cfg.iters // 2, 1)
 
 
-def _fill_record(cfg: ExperimentConfig, problem, rec: dict, result) -> None:
+def _fill_record(rec: dict, result) -> None:
     """Complete a cell's record from its run_cells entry."""
     if isinstance(result, DivergedError):
         rec["diverged"] = True
@@ -273,32 +282,32 @@ def _fill_record(cfg: ExperimentConfig, problem, rec: dict, result) -> None:
         rec["final_err"] = math.inf
         rec["best_err"] = math.inf
         return
-    _, avg, traj = result
-    rec["steps"] = traj.steps.tolist()
-    rec["err_last"] = traj.err_last.tolist()
-    rec["err_avg"] = traj.err_avg.tolist()
+    traj = result[2]
+    rec["steps"] = traj.steps
+    rec["err_last"] = traj.err_last
+    rec["err_avg"] = traj.err_avg
     rec["final_err"] = float(traj.err_last[-1])
     rec["best_err"] = float(np.min(traj.err_last))
     rec["final_err_avg"] = float(traj.err_avg[-1])
 
-    if cfg.experiment == "coverage":
-        n0 = rec["n0"]
-        cov = plug_in_covariance(problem)
-        omega_dir = np.ones(cfg.dim) / math.sqrt(cfg.dim)
-        xbar = avg.mean
-        z = z_statistic(xbar, problem.x_star, omega_dir, cov,
-                        cfg.iters, n0, cfg.batch)
-        lo, hi = confidence_interval(xbar, omega_dir, cov,
-                                     cfg.iters, n0, cfg.batch)
-        target = float(omega_dir @ problem.x_star)
-        stat = confidence_region_statistic(xbar, problem.x_star, cov,
-                                           cfg.iters, n0, cfg.batch)
-        rec["z"] = z
+
+def _fill_coverage(cfg: ExperimentConfig, problem, alive: list) -> None:
+    """Interval and region statistics of each (record, AveragingState) in
+    `alive`, against the replication's one plug-in covariance."""
+    cov = plug_in_covariance(problem)
+    direction = np.ones(cfg.dim) / math.sqrt(cfg.dim)
+    target = float(direction @ problem.x_star)
+    chi2 = chi_square_quantile(cfg.dim, 0.05)
+    for rec, avg in alive:
+        xbar, args = avg.mean, (cov, cfg.iters, rec["n0"], cfg.batch)
+        lo, hi = confidence_interval(xbar, direction, *args)
+        stat = confidence_region_statistic(xbar, problem.x_star, *args)
+        rec["z"] = z_statistic(xbar, problem.x_star, direction, *args)
         rec["ci_lo"] = lo
         rec["ci_hi"] = hi
         rec["covered"] = bool(lo <= target <= hi)
         rec["region_stat"] = stat
-        rec["region_covered"] = bool(stat <= chi_square_quantile(cfg.dim, 0.05))
+        rec["region_covered"] = bool(stat <= chi2)
 
 
 def _run_replication(cfg: ExperimentConfig, cells: list, rep: int) -> list:
@@ -311,16 +320,12 @@ def _run_replication(cfg: ExperimentConfig, cells: list, rep: int) -> list:
         x_init = problem.x_star + cfg.offset * stream.normal_vector(cfg.dim)
     mcfgs, recs = [], []
     for tok, alpha in cells:
-        mcfg = _momentum_config(cfg, tok, alpha)
-        gamma_res = resolve_gamma(problem, mcfg)
-        report = spectral_radius_closed_form(
-            problem.tuning_spectrum(), replace(mcfg, gamma=gamma_res,
-                                               gamma_mode=GammaMode.FIXED)
-        )
+        mcfg = _momentum_config(cfg, problem, tok, alpha)
+        report = spectral_radius_closed_form(problem.tuning_spectrum(), mcfg)
         mcfgs.append(mcfg)
         recs.append({
             "rep": rep,
-            "gamma_resolved": gamma_res,
+            "gamma_resolved": mcfg.gamma,
             "lam": report.lam,
             "n0": _resolve_n0(cfg, report.lam),
             "diverged": False,
@@ -330,7 +335,10 @@ def _run_replication(cfg: ExperimentConfig, cells: list, rep: int) -> list:
         record_stride=max(1, cfg.iters // 1000), x_init=x_init,
     )
     for rec, result in zip(recs, results):
-        _fill_record(cfg, problem, rec, result)
+        _fill_record(rec, result)
+    alive = [(rec, result[1]) for rec, result in zip(recs, results) if not rec["diverged"]]
+    if cfg.experiment == "coverage" and alive:
+        _fill_coverage(cfg, problem, alive)
     return recs
 
 
@@ -349,12 +357,6 @@ def _execute_cells(cfg: ExperimentConfig, cells: list) -> list:
     return [list(recs) for recs in zip(*by_rep)]
 
 
-def _tag(value) -> str:
-    if value == "adaptive":
-        return "adaptive"
-    return f"{float(value):g}"
-
-
 def _mean(values: list) -> float:
     return float(np.mean(values)) if values else math.inf
 
@@ -369,11 +371,11 @@ def _cell_summary(cfg: ExperimentConfig, gamma_token: str, alpha: float,
         "alpha": alpha,
         "batch": cfg.batch,
         "iters": cfg.iters,
+        "n0": recs[0]["n0"],
         "reps": len(recs),
         "divergent": len(recs) - len(alive),
         "gamma_resolved_mean": _mean([r["gamma_resolved"] for r in recs]),
         "lam_mean": _mean([r["lam"] for r in recs]),
-        "n0": recs[0]["n0"],
         "final_err_mean": _mean([r["final_err"] for r in alive]),
         "final_err_median": (
             float(np.median([r["final_err"] for r in alive])) if alive else math.inf
@@ -413,35 +415,23 @@ def _cell_summary(cfg: ExperimentConfig, gamma_token: str, alpha: float,
     return row
 
 
-_SUMMARY_COLUMNS = [
-    "experiment", "problem", "gamma", "alpha", "batch", "iters", "n0", "reps",
-    "divergent", "gamma_resolved_mean", "lam_mean", "final_err_mean",
-    "final_err_median", "best_err_mean", "final_err_avg_mean", "steady_mse",
-    "iters_to_threshold", "coverage", "p_abs_z", "region_coverage",
-    "ks_stat", "ks_pass",
-]
-
-
-def _write_cell_files(cfg: ExperimentConfig, cells, results) -> tuple[list, list]:
+def _sweep(cfg: ExperimentConfig) -> tuple[list, list]:
+    """Run every (gamma, alpha) cell; write its CSV and return the files
+    and summary rows."""
+    cells = [(tok, alpha) for tok in cfg.gammas for alpha in cfg.alphas]
     files, summary_rows = [], []
-    for ci, (tok, alpha) in enumerate(cells):
-        recs = results[ci]
+    for (tok, alpha), recs in zip(cells, _execute_cells(cfg, cells)):
         alive = [r for r in recs if not r["diverged"]]
         header = dict(cfg.header(), gamma=tok, alpha=alpha)
         name = f"{cfg.experiment}_g{_tag(tok)}_a{_tag(alpha)}.csv"
         path = os.path.join(cfg.out, name)
+        # a diverged record holds inf final_err and best_err, and no z
         if cfg.experiment == "coverage":
             columns = ["rep", "gamma_resolved", "z", "ci_lo", "ci_hi",
                        "covered", "region_stat", "region_covered"]
-            rows = [
-                {c: r[c] if c in r else math.inf for c in columns}
-                for r in alive
-            ]
-            _write_csv(path, header, columns, rows)
+            rows = alive
         elif cfg.experiment == "sensitivity":
-            columns = ["rep", "diverged", "final_err", "best_err"]
-            rows = [{c: r.get(c, math.inf) for c in columns} for r in recs]
-            _write_csv(path, header, columns, rows)
+            columns, rows = ["rep", "diverged", "final_err", "best_err"], recs
         else:
             columns = ["step", "err_last_mean", "err_last_median",
                        "err_avg_mean", "err_avg_median"]
@@ -457,7 +447,7 @@ def _write_cell_files(cfg: ExperimentConfig, cells, results) -> tuple[list, list
                     aggregates += [errs.mean(axis=1), np.median(errs, axis=1)]
                 rows = [dict(zip(columns, values))
                         for values in zip(alive[0]["steps"], *aggregates)]
-            _write_csv(path, header, columns, rows)
+        _write_csv(path, header, columns, rows)
         files.append(path)
         summary_rows.append(_cell_summary(cfg, tok, alpha, recs))
     return files, summary_rows
@@ -466,7 +456,7 @@ def _write_cell_files(cfg: ExperimentConfig, cells, results) -> tuple[list, list
 # ---------------------------------------------------------------------------
 # grid and bound experiments (no problem instances involved)
 
-def _spectrum_map(cfg: ExperimentConfig) -> RunSummary:
+def _spectrum_map(cfg: ExperimentConfig) -> tuple[list, list]:
     spectrum = HessianSpectrum.from_extremes(cfg.mu, cfg.ell)
     alphas = np.linspace(cfg.alpha_range[0], cfg.alpha_range[1], cfg.grid)
     gammas = np.linspace(cfg.gamma_range[0], cfg.gamma_range[1], cfg.grid)
@@ -489,12 +479,10 @@ def _spectrum_map(cfg: ExperimentConfig) -> RunSummary:
         "alpha_at_min": float(a[best]), "gamma_at_min": float(g[best]),
         "alpha_opt": a_opt, "gamma_opt": g_opt, "lam_opt": lam_opt,
     }
-    spath = os.path.join(cfg.out, "summary.csv")
-    _write_csv(spath, cfg.header(), list(cell.keys()), [cell])
-    return RunSummary(cfg.experiment, cfg.out, [cell], [path, spath])
+    return [path], [cell]
 
 
-def _power_bound(cfg: ExperimentConfig) -> RunSummary:
+def _power_bound(cfg: ExperimentConfig) -> tuple[list, list]:
     stream = RngStream(cfg.seed, stream=3)
     rows = []
     failures = 0
@@ -530,9 +518,7 @@ def _power_bound(cfg: ExperimentConfig) -> RunSummary:
         "horizon": cfg.iters, "failures": failures,
         "max_ratio": max((r["max_ratio"] for r in rows), default=math.nan),
     }
-    spath = os.path.join(cfg.out, "summary.csv")
-    _write_csv(spath, cfg.header(), list(cell.keys()), [cell])
-    return RunSummary(cfg.experiment, cfg.out, [cell], [path, spath])
+    return [path], [cell]
 
 
 # ---------------------------------------------------------------------------
@@ -551,23 +537,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Execute one experiment sweep and write its artifacts under cfg.out."""
     os.makedirs(cfg.out, exist_ok=True)
     echo = _echo_config(cfg)
-    if cfg.experiment == "spectrum-map":
-        summary = _spectrum_map(cfg)
-        summary.files.append(echo)
-        return summary
-    if cfg.experiment == "power-bound":
-        summary = _power_bound(cfg)
-        summary.files.append(echo)
-        return summary
-
-    cells = [(tok, alpha) for tok in cfg.gammas for alpha in cfg.alphas]
-    results = _execute_cells(cfg, cells)
-    files, summary_rows = _write_cell_files(cfg, cells, results)
+    run = {"spectrum-map": _spectrum_map, "power-bound": _power_bound}.get(cfg.experiment, _sweep)
+    files, rows = run(cfg)
     spath = os.path.join(cfg.out, "summary.csv")
-    _write_csv(spath, cfg.header(), _SUMMARY_COLUMNS, summary_rows)
-    files.extend([spath, echo])
-    divergent = sum(row["divergent"] for row in summary_rows)
-    return RunSummary(cfg.experiment, cfg.out, summary_rows, files, divergent)
+    _write_csv(spath, cfg.header(), list(rows[0]), rows)
+    divergent = sum(row.get("divergent", 0) for row in rows)
+    return RunSummary(cfg.experiment, cfg.out, rows, files + [spath, echo], divergent)
 
 
 # ---------------------------------------------------------------------------
@@ -614,37 +589,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} | {"batch_frac"}
-# parse_config resolves these from the experiment, the scale and the
-# environment; every other field keeps its dataclass default unless given
-_RESOLVED_KEYS = {"experiment", "n", "reps", "batch", "gammas", "alphas",
-                  "iters", "n0", "threads"}
-_FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)
-                   if f.name not in _RESOLVED_KEYS}
+# each config key's kind: its field default's type (gammas, alphas and n0
+# have their own parsers)
+_KIND = {f.name: type(f.default) for f in fields(ExperimentConfig)} | {"batch_frac": float}
+# keys whose defaults depend on the experiment, the scale or the environment;
+# every other field keeps its dataclass default unless given
+_RESOLVED = {"experiment", "n", "reps", "batch", "batch_frac", "gammas", "alphas",
+             "iters", "n0", "threads"}
 
 
-def _typed(kind, key: str, val):
-    """kind(val) for a value of kind's JSON type: an int field takes only an
-    integer, a float field any number; a bool, a string or null (a file's
-    value may be any JSON) is refused with a ValueError, never truncated."""
-    if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
-        raise ValueError(f"{key} expects {kind.__name__}, got {val!r}")
-    return kind(val)
-
-
-def _coerce_field(key: str, val):
-    """Type a given value like the field default; a bool or str field takes
-    only a value of its own JSON type, so "no" or null is refused."""
-    kind = type(_FIELD_DEFAULTS[key])
-    if kind in (bool, str):
-        if not isinstance(val, kind):
-            raise ValueError(f"{key} expects {kind.__name__}, got {val!r}")
-        return val
+def _typed(key: str, val, kind=None):
+    """val as key's kind (`_KIND[key]` unless given) of its own JSON type: an
+    int takes only an integer, a float any number, a bool or a str only its
+    own type, a tuple two numbers. Anything else (a file's value may be any
+    JSON) is refused with a ValueError, never truncated."""
+    kind = kind or _KIND[key]
     if kind is tuple:
         if not isinstance(val, (list, tuple)) or len(val) != 2:
             raise ValueError(f"{key} expects two numbers, got {val!r}")
-        return tuple(_typed(float, key, v) for v in val)
-    return _typed(kind, key, val)
+        return tuple(_typed(key, v, float) for v in val)
+    if (not isinstance(val, (int, float) if kind is float else kind)
+            or isinstance(val, bool) != (kind is bool)):
+        raise ValueError(f"{key} expects {kind.__name__}, got {val!r}")
+    return kind(val)
 
 
 def _load_config_file(path: str) -> dict:
@@ -659,30 +626,37 @@ def _load_config_file(path: str) -> dict:
     out = {}
     for key, val in data.items():
         key = aliases.get(key, key)
-        if key not in _CONFIG_KEYS:
+        if key not in _KIND:
             raise ValueError(f"unknown config key {key!r} in {path}")
         out[key] = val
     return out
 
 
-def _coerce_gammas(raw) -> list:
-    if not isinstance(raw, (list, tuple)):
-        raw = [raw]
+def _gamma_tokens(raw) -> list:
     toks = []
-    for g in raw:
+    for g in raw if isinstance(raw, (list, tuple)) else [raw]:
         if isinstance(g, str) and g.strip().lower() == "adaptive":
             toks.append("adaptive")
             continue
         try:
-            val = float(g)
+            toks.append(_tag(float(g)))
         except (TypeError, ValueError):
             raise ValueError(
                 f"gamma expects numbers in [0,1) or 'adaptive', got {g!r}"
             ) from None
-        if not 0.0 <= val < 1.0:
-            raise ValueError("gamma must lie in [0,1)")
-        toks.append(f"{val:g}")
+        # checked here too, so a bad gamma is reported before a later key
+        _check_gamma(toks[-1])
     return toks
+
+
+def _n0(raw):
+    if isinstance(raw, str) and raw.strip().lower() == "auto":
+        return "auto"
+    try:
+        # a flag is a string to parse; a file's number must be an integer
+        return int(raw) if isinstance(raw, str) else _typed("n0", raw)
+    except ValueError:
+        raise ValueError(f"n0 expects an integer or 'auto', got {raw!r}") from None
 
 
 def parse_config(argv=None) -> ExperimentConfig:
@@ -692,9 +666,7 @@ def parse_config(argv=None) -> ExperimentConfig:
     merged: dict = {}
     if args.config:
         merged.update(_load_config_file(args.config))
-    merged.update(
-        {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
-    )
+    merged.update({k: v for k, v in vars(args).items() if k in _KIND and v is not None})
 
     experiment = merged.get("experiment")
     if experiment is None:
@@ -702,63 +674,39 @@ def parse_config(argv=None) -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
 
-    given = {k: _coerce_field(k, v) for k, v in merged.items() if k in _FIELD_DEFAULTS}
-    scale = _PAPER if given.get("paper_scale") else _DESK
-    n = _typed(int, "n", merged.get("n", scale["n"]))
+    # keys with one default for every experiment first, in the order given
+    cfg = {k: _typed(k, v) for k, v in merged.items() if k not in _RESOLVED}
+    raw = {
+        "alphas": [0.5] if cfg.get("problem") == "logistic" else [0.001],
+        "batch_frac": 0.2,
+        **_SCALES[cfg.get("paper_scale", False)],
+        **_EXPERIMENT_DEFAULTS[experiment],
+        **merged,
+    }
+    cfg["n"] = _typed("n", raw["n"])
     if "batch" in merged and "batch_frac" in merged:
         raise ValueError("give either batch or batch_frac, not both")
     if "batch" in merged:
-        batch = _typed(int, "batch", merged["batch"])
+        cfg["batch"] = _typed("batch", merged["batch"])
     else:
-        frac = _typed(float, "batch_frac", merged.get("batch_frac", 0.2))
+        frac = _typed("batch_frac", raw["batch_frac"])
         if not 0.0 < frac < math.inf:
             raise ValueError("batch_frac must be positive and finite")
-        batch = max(1, int(round(frac * n)))
-
-    gammas = _coerce_gammas(
-        merged.get("gammas", _GAMMA_DEFAULT.get(experiment, ["0"]))
-    )
-    if "alphas" in merged:
-        raw = merged["alphas"]
-        alphas = [_typed(float, "alpha", a)
-                  for a in (raw if isinstance(raw, (list, tuple)) else [raw])]
-    elif experiment == "sensitivity":
-        alphas = list(_DYADIC_ALPHAS)
-    else:
-        alphas = [0.5] if given.get("problem") == "logistic" else [0.001]
-
-    n0_raw = merged.get("n0", "auto" if experiment in ("averaged", "coverage") else 0)
-    if isinstance(n0_raw, str) and n0_raw.strip().lower() == "auto":
-        n0 = "auto"
-    else:
-        try:
-            # a flag is a string to parse; a file's number must be an integer
-            n0 = int(n0_raw) if isinstance(n0_raw, str) else _typed(int, "n0", n0_raw)
-        except ValueError:
-            raise ValueError(
-                f"n0 expects an integer or 'auto', got {n0_raw!r}"
-            ) from None
-
-    threads = merged.get("threads")
-    if threads is None:
+        cfg["batch"] = max(1, int(round(frac * cfg["n"])))
+    cfg["gammas"] = _gamma_tokens(raw["gammas"])
+    alphas = raw["alphas"]
+    cfg["alphas"] = [_typed("alpha", a, float)
+                     for a in (alphas if isinstance(alphas, (list, tuple)) else [alphas])]
+    cfg["n0"] = _n0(raw["n0"])
+    if merged.get("threads") is None:
         env = os.environ.get(THREADS_ENV_VAR, "1")
         try:
-            threads = int(env)
+            raw["threads"] = int(env)
         except ValueError:
             raise ValueError(f"threads expects int, got {env!r}") from None
-
-    return ExperimentConfig(
-        experiment=experiment,
-        n=n,
-        reps=_typed(int, "reps", merged.get("reps", scale["reps"])),
-        batch=batch,
-        gammas=gammas,
-        alphas=alphas,
-        iters=_typed(int, "iters", merged.get("iters", _ITERS_DEFAULT[experiment])),
-        n0=n0,
-        threads=_typed(int, "threads", threads),
-        **given,
-    )
+    for key in ("reps", "iters", "threads"):
+        cfg[key] = _typed(key, raw[key])
+    return ExperimentConfig(experiment=experiment, **cfg)
 
 
 def main(argv=None) -> int:

@@ -206,32 +206,35 @@ def run_cells(
     x_star = problem.x_star
 
     # no finiteness check on the gradient: a non-finite one makes x, and so
-    # the error norm, non-finite at the same step
-    for t, data in enumerate(batches, 1):
-        record = t <= 1000 or t % record_stride == 0 or t == iters
-        diverged = False
-        for k, cell in live:
-            cfg = cell.config
-            g = problem.batch_gradient(data, cell.x)
-            cell.x, cell.m = _momentum_update(cell.x, cell.m, cfg.gamma, cfg.alpha, g)
-            x, avg = cell.x, cell.avg
-            avg.fold(x, t)
-            err = _dist(x, x_star)
-            if not math.isfinite(err) or err > blowup:
-                results[k] = DivergedError(
-                    t, f"error norm {err:.3e} beyond blow-up threshold")
-                diverged = True
-                continue
-            if record:
-                cell.records.append((
-                    t,
-                    err,
-                    _dist(avg.mean, x_star) if avg.count else math.nan,
-                ))
-        if diverged:
-            live = [(k, cell) for k, cell in live if results[k] is None]
-            if not live:
-                break
+    # the error norm, non-finite at the same step. An overflow in a step is
+    # that step's divergence, or exp saturating in the logistic sigmoid
+    # (whose value, 0, is right): neither is worth a warning
+    with np.errstate(over="ignore"):
+        for t, data in enumerate(batches, 1):
+            record = t <= 1000 or t % record_stride == 0 or t == iters
+            diverged = False
+            for k, cell in live:
+                cfg = cell.config
+                g = problem.batch_gradient(data, cell.x)
+                cell.x, cell.m = _momentum_update(cell.x, cell.m, cfg.gamma, cfg.alpha, g)
+                x, avg = cell.x, cell.avg
+                avg.fold(x, t)
+                err = _dist(x, x_star)
+                if not math.isfinite(err) or err > blowup:
+                    results[k] = DivergedError(
+                        t, f"error norm {err:.3e} beyond blow-up threshold")
+                    diverged = True
+                    continue
+                if record:
+                    cell.records.append((
+                        t,
+                        err,
+                        _dist(avg.mean, x_star) if avg.count else math.nan,
+                    ))
+            if diverged:
+                live = [(k, cell) for k, cell in live if results[k] is None]
+                if not live:
+                    break
 
     for k, cell in live:
         steps, err_last, err_avg = (np.array(col) for col in zip(*cell.records))

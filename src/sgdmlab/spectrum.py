@@ -170,7 +170,7 @@ def spectral_report_arrays(spectrum: HessianSpectrum, alpha, gamma) -> dict:
     """
     a, g = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(gamma, dtype=float))
     mu, ell = spectrum.mu, spectrum.ell
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         margin = 2.0 * (1.0 + g) / (1.0 - g)
         admissible = a * ell < margin
         phi = np.minimum(a * mu, margin - a * ell)
@@ -196,9 +196,10 @@ def spectral_report_arrays(spectrum: HessianSpectrum, alpha, gamma) -> dict:
         disc_phi = b * b - 4.0 * g
         lam_phi = np.where(on_threshold | (disc_phi <= 0.0), sqrt_g,
                            0.5 * (b + np.sqrt(disc_phi)))
-    # the two expressions agree analytically on the admissible domain;
-    # boundary rounding is O(1e-8), so 1e-6 flags only genuine breakage
-    agrees = ~admissible | (np.abs(lam_phi - lam_exact) <= 1e-6)
+        # the two expressions agree analytically on the admissible domain;
+        # boundary rounding is O(1e-8), so 1e-6 flags only genuine breakage.
+        # An inadmissible step far out may overflow both to inf (inf - inf)
+        agrees = ~admissible | (np.abs(lam_phi - lam_exact) <= 1e-6)
     if not agrees.all():
         i = np.unravel_index(np.argmin(agrees), agrees.shape)
         warnings.warn(

@@ -5,8 +5,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from sgdmlab import (
     read_csv,
     run_experiment,
 )
-from sgdmlab.harness import _DYADIC_ALPHAS, Z_CRIT, _run_replication, _tag
+from sgdmlab import harness, optimizer
+from sgdmlab.harness import Z_CRIT, _run_replication, _tag
 
 
 # ---------------------------------------------------------------------------
@@ -45,16 +48,30 @@ def test_parse_flags_full_set():
     assert cfg.reps == 100  # desk scale
 
 
-def test_parse_defaults_per_experiment():
-    cov = parse_config(["coverage"])
-    assert cov.n0 == "auto"
-    assert cov.gammas == ["adaptive"]
-    sens = parse_config(["sensitivity"])
-    assert sens.alphas == _DYADIC_ALPHAS
-    assert sens.gammas == ["0", "0.8", "0.9"]
-    assert sens.iters == 500
-    avg = parse_config(["averaged"])
-    assert avg.n0 == "auto" and avg.iters == 2000
+def test_parse_defaults_per_experiment(monkeypatch):
+    monkeypatch.delenv("SGDMLAB_THREADS", raising=False)
+    dyadic = [2.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]
+    # experiment: iters, gammas, n0
+    table = {
+        "convergence": (1000, ["0", "0.9", "adaptive"], 0),
+        "averaged": (2000, ["0", "0.9", "adaptive"], "auto"),
+        "sensitivity": (500, ["0", "0.8", "0.9"], 0),
+        "coverage": (2000, ["adaptive"], "auto"),
+        "spectrum-map": (0, ["0"], 0),
+        "power-bound": (200, ["0"], 0),
+    }
+    for experiment, (iters, gammas, n0) in table.items():
+        desk = parse_config([experiment])
+        assert (desk.iters, desk.gammas, desk.n0) == (iters, gammas, n0), experiment
+        sens = experiment == "sensitivity"
+        assert desk.alphas == (dyadic if sens else [0.001]), experiment
+        logistic = parse_config([experiment, "--problem", "logistic"])
+        assert logistic.alphas == (dyadic if sens else [0.5]), experiment
+        # batch_frac 0.2 of n unless given
+        assert (desk.n, desk.reps, desk.batch, desk.threads) == (4000, 100, 800, 1)
+        paper = parse_config([experiment, "--paper-scale"])
+        assert (paper.n, paper.reps, paper.batch) == (20000, 200, 4000)
+        assert parse_config([experiment, "--paper-scale", "--batch-frac", "0.1"]).batch == 2000
 
 
 def test_parse_paper_scale():
@@ -130,6 +147,10 @@ def test_parse_batch_exclusivity(tmp_path):
 def test_parse_threads_from_environment(monkeypatch):
     monkeypatch.setenv("SGDMLAB_THREADS", "3")
     assert parse_config(["convergence"]).threads == 3
+    assert parse_config(["convergence", "--threads", "2"]).threads == 2
+    monkeypatch.setenv("SGDMLAB_THREADS", "x")
+    with pytest.raises(ValueError, match="threads expects int, got 'x'"):
+        parse_config(["convergence"])
     assert parse_config(["convergence", "--threads", "2"]).threads == 2
     monkeypatch.delenv("SGDMLAB_THREADS")
     assert parse_config(["convergence"]).threads == 1
@@ -514,6 +535,7 @@ def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
         {"experiment": "convergence", "batch_frac": True},
         {"experiment": "convergence", "alpha": [True]},
         {"experiment": "convergence", "threads": "2"},
+        {"experiment": "spectrum-map", "alpha_range": [0.1, None]},
     ]):
         path = tmp_path / f"typed{i}.json"
         path.write_text(json.dumps(payload))
@@ -527,8 +549,80 @@ def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
         assert out.startswith("error: "), payload
         for key in {"paper_scale", "out"} & payload.keys():
             assert out.startswith(f"error: {key} expects"), payload
+        # every refused value's message names its own key
+        (key,) = payload.keys() - {"experiment"}
+        assert re.search(rf"\b{key}\b", out), (payload, out)
         assert not (out_dir / "config.json").exists(), payload
         assert not (tmp_path / "None").exists(), payload
+
+
+def test_cell_files_keep_full_precision(tmp_path, capsys):
+    # a value :g reads back exactly keeps its old token and file name
+    assert [_tag(v) for v in (0.005, 2.0, 1e-05, 0.015625, "adaptive")] == [
+        "0.005", "2", "1e-05", "0.015625", "adaptive"]
+    cfg = parse_config(["convergence", "--gamma", "0.123456789", "0.9", "0.90000001",
+                        "--alpha", "0.001", "0.0010000001"])
+    assert cfg.gammas == ["0.123456789", "0.9", "0.90000001"]
+    rc = main(["convergence", "--n", "60", "--dim", "2", "--iters", "5", "--reps", "2",
+               "--gamma", "0.123456789", "0.9", "0.90000001",
+               "--alpha", "0.001", "0.0010000001", "--out", str(tmp_path / "fine")])
+    assert rc == 0
+    names = sorted(os.listdir(tmp_path / "fine"))
+    assert len(names) == 6 + 2  # every cell its own file, summary, config
+    assert "convergence_g0.123456789_a0.0010000001.csv" in names
+    _, rows = read_csv(str(tmp_path / "fine" / "summary.csv"))
+    assert [r["gamma_resolved_mean"] for r in rows[::2]] == [0.123456789, 0.9, 0.90000001]
+    # cells that would still share a file are refused before anything runs
+    for argv in (["--gamma", "0.9", "0.90"], ["--alpha", "0.001", "0.0010"],
+                 ["--gamma", "0.5", "0.5"]):
+        out_dir = tmp_path / "clash"
+        assert main(["convergence", *argv, "--out", str(out_dir)]) == 2
+        assert "would write one file" in capsys.readouterr().out
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv,divergent", [
+    # the sigmoid saturates (exp overflows to inf, its value is 0)
+    (["sensitivity", "--problem", "logistic", "--n", "200", "--dim", "3",
+      "--iters", "200", "--reps", "2", "--alpha", "1000", "100000"], 0),
+    # the first step's error norm overflows
+    (["convergence", "--n", "100", "--iters", "5", "--reps", "1", "--offset", "1e200"], 3),
+    # so does the predicted radius of a far inadmissible step
+    (["convergence", "--n", "100", "--iters", "5", "--reps", "1", "--dim", "2",
+      "--alpha", "1e300"], 3),
+])
+def test_overflowing_sweeps_warn_nothing(tmp_path, capsys, argv, divergent):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+    assert f"{divergent} divergent run(s)" in capsys.readouterr().out
+
+
+def test_replication_resolves_gamma_and_inference_once(monkeypatch, tmp_path):
+    calls = {"adaptive_gamma": 0, "plug_in_covariance": 0, "chi_square_quantile": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(optimizer, "adaptive_gamma")
+    counted(harness, "plug_in_covariance")
+    counted(harness, "chi_square_quantile")
+    cfg = ExperimentConfig(
+        experiment="coverage", n=200, dim=3, gammas=["adaptive", "0.5"],
+        alphas=[0.01, 0.02], batch=20, iters=40, n0=10, reps=3, seed=2,
+        out=str(tmp_path / "once"),
+    )
+    summary = run_experiment(cfg)
+    assert summary.divergent_total == 0
+    # per replication: one adaptive gamma per adaptive cell, and one
+    # covariance and quantile for all four cells
+    assert calls == {"adaptive_gamma": 2 * 3, "plug_in_covariance": 3,
+                     "chi_square_quantile": 3}
 
 
 def test_logistic_strong_ridge_runs(tmp_path, capsys):

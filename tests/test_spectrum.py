@@ -172,6 +172,18 @@ def test_inadmissible_step_reports_divergence_not_error(alpha, gamma):
     assert rep.lam == pytest.approx(numeric_spectral_radius(spec, cfg), rel=1e-13)
 
 
+def test_far_inadmissible_step_overflows_without_warning():
+    # alpha * ell near the top of the double range overflows the block
+    # traces to inf, which is the right radius, not a warning
+    spec = HessianSpectrum.from_extremes(1.0, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, gamma in ((1e160, 0.0), (1e300, 0.5), (1e308, 0.9)):
+            rep = spectral_radius_closed_form(spec, MomentumConfig(alpha=alpha, gamma=gamma))
+            assert not rep.admissible
+            assert rep.lam == math.inf
+
+
 def test_delta_zero_flags_infinite_m_and_bound_refuses():
     # gamma=0, alpha*kappa = 1 makes the block trace exactly zero: Delta = 0
     spec = HessianSpectrum.from_extremes(2.0, 2.0)
