@@ -50,7 +50,6 @@ __all__ = [
     "run_experiment",
     "read_csv",
     "main",
-    "THREADS_ENV_VAR",
 ]
 
 THREADS_ENV_VAR = "SGDMLAB_THREADS"
@@ -698,7 +697,7 @@ def parse_config(argv=None) -> ExperimentConfig:
     cfg["alphas"] = [_typed("alpha", a, float)
                      for a in (alphas if isinstance(alphas, (list, tuple)) else [alphas])]
     cfg["n0"] = _n0(raw["n0"])
-    if merged.get("threads") is None:
+    if "threads" not in merged:
         env = os.environ.get(THREADS_ENV_VAR, "1")
         try:
             raw["threads"] = int(env)

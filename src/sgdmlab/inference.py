@@ -58,79 +58,41 @@ def normal_quantile(p: float) -> float:
     return statistics.NormalDist().inv_cdf(p)
 
 
-def _gammp(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x): series for x < a+1,
-    Lentz continued fraction for the complement otherwise."""
-    if x < 0 or a <= 0:
-        raise ValueError("require x >= 0 and a > 0")
-    if x == 0.0:
-        return 0.0
-    lg = math.lgamma(a)
-    if x < a + 1.0:
-        ap = a
-        term = total = 1.0 / a
-        for _ in range(500):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return total * math.exp(-x + a * math.log(x) - lg)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return 1.0 - math.exp(-x + a * math.log(x) - lg) * h
+def _chi_square_tail(dof: int, x: float) -> float:
+    """P(chi2_dof > x) for x > 0 in closed form at integer dof. With h = x/2
+    it is the Poisson sum exp(-h) sum h^j / j! over j = 0, 1, ... < dof/2
+    for even dof, and erfc(sqrt(h)) plus the same sum over j = 1/2, 3/2,
+    ... < dof/2 for odd dof. Each term is exp(j log h - h - lgamma(j+1)),
+    which is at most 1, so none overflows."""
+    h = 0.5 * x
+    log_h = math.log(h)
+    j = 0.5 * (dof % 2)
+    total = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
+    while j < 0.5 * dof:
+        total += math.exp(j * log_h - h - math.lgamma(j + 1.0))
+        j += 1.0
+    return total
 
 
 def chi_square_quantile(dof: int, upper_tail: float) -> float:
-    """x with P(chi2_dof > x) = upper_tail, by inverting the regularized
-    incomplete gamma (Wilson-Hilferty start, Newton with bisection guard)."""
-    if dof < 1:
-        raise ValueError("dof must be >= 1")
+    """x with P(chi2_dof > x) = upper_tail: the smallest double the closed-form
+    tail puts at or below upper_tail, found by bisection down to adjacent
+    doubles."""
+    if not dof >= 1 or dof % 1:
+        raise ValueError("dof must be an integer >= 1")
     if not (0.0 < upper_tail < 1.0):
         raise ValueError("upper_tail must lie in (0, 1)")
-    p = 1.0 - upper_tail
-    k = float(dof)
-    z = normal_quantile(p)
-    x = k * (1.0 - 2.0 / (9.0 * k) + z * math.sqrt(2.0 / (9.0 * k))) ** 3
-    x = max(x, 1e-8)
-    lo, hi = 0.0, max(4.0 * x, k + 100.0)
-    while _gammp(k / 2.0, hi / 2.0) < p:
-        hi *= 2.0
-    for _ in range(200):
-        f = _gammp(k / 2.0, x / 2.0) - p
-        if f > 0:
-            hi = x
+    dof = int(dof)
+    lo, hi = 0.0, float(dof)
+    while _chi_square_tail(dof, hi) > upper_tail:
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _chi_square_tail(dof, mid) > upper_tail:
+            lo = mid
         else:
-            lo = x
-        dens = math.exp(
-            (k / 2.0 - 1.0) * math.log(x) - x / 2.0 - (k / 2.0) * math.log(2.0)
-            - math.lgamma(k / 2.0)
-        )
-        step = f / dens if dens > 0 else 0.0
-        x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-12 * (1.0 + x):
-            return x_new
-        x = x_new
-    return x
+            hi = mid
+    return hi
 
 
 def ks_normality(samples) -> tuple[float, bool]:

@@ -17,12 +17,11 @@ import numpy as np
 from .rand import RngStream
 
 __all__ = [
+    "GenerationError",
     "QuadraticProblem",
     "LogisticProblem",
-    "ProblemInstance",
     "generate_quadratic",
     "generate_logistic",
-    "gradient_gram",
 ]
 
 

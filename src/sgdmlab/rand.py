@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["GENERATOR_NAME", "RngStream"]
+
 GENERATOR_NAME = "philox4x64-ziggurat"
 
 

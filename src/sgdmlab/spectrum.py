@@ -111,7 +111,8 @@ class SpectralReport:
     whether the binding eigenvalues are real or a complex pair (then
     lam = sqrt(gamma) exactly); delta is the minimal distance of any block
     discriminant from zero and big_m the power-bound constant (infinite at
-    the non-diagonalizable boundary delta = 0). phi_form_agrees records
+    the non-diagonalizable boundary delta = 0, NaN where delta overflows on
+    a far-inadmissible step). phi_form_agrees records
     whether the single-formula phi expression of the radius matched the
     exact per-block evaluation; it can be False only outside the tuning
     regime alpha*mu <= 1, and a warning is emitted rather than silently
@@ -183,6 +184,7 @@ def spectral_report_arrays(spectrum: HessianSpectrum, alpha, gamma) -> dict:
         delta = np.abs(disc).min(axis=-1)
         big_m = np.where(delta > 0.0, (4.0 / np.sqrt(delta)) * (
             2.0 * (1.0 - g) * (1.0 + a * ell + ell) + 3.0 * a * g), np.inf)
+        big_m = np.where(np.isfinite(delta), big_m, np.nan)
         blocks = np.where(disc > 0.0, 0.5 * (np.abs(s) + np.sqrt(disc)), sqrt_g[..., None])
         lam_exact = blocks.max(axis=-1)
 
@@ -289,7 +291,8 @@ def verify_power_bound(
     maximum are the per-power loop's, bit for bit.
     """
     if not math.isfinite(big_m):
-        raise ValueError("big_m is infinite (delta = 0 boundary); bound undefined")
+        raise ValueError(f"big_m = {big_m} is not finite (delta = 0 boundary, or delta "
+                         "overflowed on an inadmissible step); bound undefined")
     G = np.asarray(gamma_matrix, dtype=float)
     block = np.empty((max(1, min(horizon, _POWER_BLOCK // G.size)),) + G.shape)
     P = np.eye(G.shape[0])

@@ -535,6 +535,7 @@ def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
         {"experiment": "convergence", "batch_frac": True},
         {"experiment": "convergence", "alpha": [True]},
         {"experiment": "convergence", "threads": "2"},
+        {"experiment": "convergence", "threads": None},
         {"experiment": "spectrum-map", "alpha_range": [0.1, None]},
     ]):
         path = tmp_path / f"typed{i}.json"

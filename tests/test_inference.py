@@ -74,6 +74,11 @@ def test_quantiles_against_scipy():
         for tail in (0.01, 0.05, 0.5, 0.95):
             want = scipy.stats.chi2.ppf(1.0 - tail, dof)
             assert abs(chi_square_quantile(dof, tail) - want) <= 1e-6 * (1 + want)
+    # far tails and large dof, relative to the inverse survival function
+    for dof in (1, 2, 3, 5, 10, 30, 100, 1000):
+        for tail in (1e-10, 0.01, 0.05, 0.5, 0.95, 1.0 - 1e-6):
+            want = scipy.stats.chi2.isf(tail, dof)
+            assert chi_square_quantile(dof, tail) == pytest.approx(want, rel=1e-8), (dof, tail)
 
 
 def test_quantile_domain_errors():
@@ -83,6 +88,10 @@ def test_quantile_domain_errors():
         normal_quantile(1.0)
     with pytest.raises(ValueError):
         chi_square_quantile(0, 0.05)
+    # the closed-form tail holds at integer dof only
+    for dof in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            chi_square_quantile(dof, 0.05)
     with pytest.raises(ValueError):
         chi_square_quantile(3, 1.0)
 

@@ -182,6 +182,8 @@ def test_far_inadmissible_step_overflows_without_warning():
             rep = spectral_radius_closed_form(spec, MomentumConfig(alpha=alpha, gamma=gamma))
             assert not rep.admissible
             assert rep.lam == math.inf
+            # delta overflowed, so there is no power-bound constant
+            assert math.isnan(rep.big_m)
 
 
 def test_delta_zero_flags_infinite_m_and_bound_refuses():
