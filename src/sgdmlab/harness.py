@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -29,13 +29,13 @@ from .inference import (
     plug_in_covariance,
     z_statistic,
 )
-from .optimizer import DivergedError, choose_burn_in, resolve_gamma, run_cells
+from .optimizer import DivergedError, choose_burn_in, run_cells
 from .problems import generate_logistic, generate_quadratic
 from .rand import GENERATOR_NAME, RngStream
 from .spectrum import (
-    GammaMode,
     HessianSpectrum,
     MomentumConfig,
+    adaptive_gamma,
     build_gamma_matrix,
     optimal_hyperparameters,
     spectral_radius_closed_form,
@@ -258,11 +258,8 @@ def _make_problem(cfg: ExperimentConfig, rep: int):
 def _momentum_config(cfg: ExperimentConfig, problem, gamma_token: str,
                      alpha: float) -> MomentumConfig:
     """A cell's configuration, an adaptive gamma resolved on `problem`."""
-    if gamma_token == "adaptive":
-        mcfg = MomentumConfig(alpha=alpha, gamma=0.0, batch_size=cfg.batch,
-                              gamma_mode=GammaMode.ADAPTIVE)
-        return replace(mcfg, gamma=resolve_gamma(problem, mcfg), gamma_mode=GammaMode.FIXED)
-    return MomentumConfig(alpha=alpha, gamma=float(gamma_token), batch_size=cfg.batch)
+    gamma = adaptive_gamma(problem.mu, alpha) if gamma_token == "adaptive" else float(gamma_token)
+    return MomentumConfig(alpha=alpha, gamma=gamma, batch_size=cfg.batch)
 
 
 def _resolve_n0(cfg: ExperimentConfig, lam: float) -> int:
@@ -380,9 +377,7 @@ def _cell_summary(cfg: ExperimentConfig, gamma_token: str, alpha: float,
             float(np.median([r["final_err"] for r in alive])) if alive else math.inf
         ),
         "best_err_mean": _mean([r["best_err"] for r in alive]),
-        "final_err_avg_mean": _mean(
-            [r["final_err_avg"] for r in alive if "final_err_avg" in r]
-        ),
+        "final_err_avg_mean": _mean([r["final_err_avg"] for r in alive]),
         "steady_mse": math.nan,
         "iters_to_threshold": math.nan,
         "coverage": math.nan,
@@ -391,7 +386,7 @@ def _cell_summary(cfg: ExperimentConfig, gamma_token: str, alpha: float,
         "ks_stat": math.nan,
         "ks_pass": math.nan,
     }
-    if alive and "steps" in alive[0]:
+    if alive:
         err = np.array([r["err_last"] for r in alive])
         mean_curve = err.mean(axis=0)
         tail = mean_curve[-max(1, len(mean_curve) // 4):]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rand import RngStream
+from .spectrum import HessianSpectrum
 
 __all__ = [
     "GenerationError",
@@ -63,13 +64,9 @@ class QuadraticProblem:
         return self.a_mats.shape[1]
 
     def hessian_spectrum(self):
-        from .spectrum import HessianSpectrum
-
         return HessianSpectrum.from_matrix(self.sigma_hat)
 
     def tuning_spectrum(self):
-        from .spectrum import HessianSpectrum
-
         return HessianSpectrum.from_extremes(self.mu, self.ell)
 
     def per_sample_gradients(self, x: np.ndarray) -> np.ndarray:
@@ -172,13 +169,9 @@ class LogisticProblem:
         return self.features.shape[1]
 
     def hessian_spectrum(self):
-        from .spectrum import HessianSpectrum
-
         return HessianSpectrum.from_matrix(self.sigma_at_star)
 
     def tuning_spectrum(self):
-        from .spectrum import HessianSpectrum
-
         return HessianSpectrum.from_extremes(self.mu, self.ell)
 
     def per_sample_gradients(self, x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -112,11 +111,7 @@ class SpectralReport:
     lam = sqrt(gamma) exactly); delta is the minimal distance of any block
     discriminant from zero and big_m the power-bound constant (infinite at
     the non-diagonalizable boundary delta = 0, NaN where delta overflows on
-    a far-inadmissible step). phi_form_agrees records
-    whether the single-formula phi expression of the radius matched the
-    exact per-block evaluation; it can be False only outside the tuning
-    regime alpha*mu <= 1, and a warning is emitted rather than silently
-    picking one value.
+    a far-inadmissible step).
     """
 
     lam: float
@@ -126,13 +121,6 @@ class SpectralReport:
     delta: float
     admissible: bool
     gamma_threshold: float
-    phi_form_agrees: bool = True
-
-
-def _as_spectrum(spectrum_or_hessian) -> HessianSpectrum:
-    if isinstance(spectrum_or_hessian, HessianSpectrum):
-        return spectrum_or_hessian
-    return HessianSpectrum.from_matrix(np.asarray(spectrum_or_hessian))
 
 
 def build_gamma_matrix(spectrum_or_hessian, config: MomentumConfig) -> np.ndarray:
@@ -146,7 +134,7 @@ def build_gamma_matrix(spectrum_or_hessian, config: MomentumConfig) -> np.ndarra
         S = np.diag(spectrum_or_hessian.eigenvalues)
     else:
         S = np.asarray(spectrum_or_hessian, dtype=float)
-        _as_spectrum(S)  # validates symmetry and positive definiteness
+        HessianSpectrum.from_matrix(S)  # validates symmetry and positive definiteness
     d = S.shape[0]
     a, g = config.alpha, config.gamma
     eye = np.eye(d)
@@ -194,31 +182,16 @@ def spectral_report_arrays(spectrum: HessianSpectrum, alpha, gamma) -> dict:
         # (the optimal point lands there); it is far below any Delta > 1e-6
         # separation. Only admissible steps have a threshold (phi > 0)
         on_threshold = g >= gamma_threshold - 1e-12 * (1.0 + gamma_threshold)
-        b = g + 1.0 - (1.0 - g) * phi
-        disc_phi = b * b - 4.0 * g
-        lam_phi = np.where(on_threshold | (disc_phi <= 0.0), sqrt_g,
-                           0.5 * (b + np.sqrt(disc_phi)))
-        # the two expressions agree analytically on the admissible domain;
-        # boundary rounding is O(1e-8), so 1e-6 flags only genuine breakage.
-        # An inadmissible step far out may overflow both to inf (inf - inf)
-        agrees = ~admissible | (np.abs(lam_phi - lam_exact) <= 1e-6)
-    if not agrees.all():
-        i = np.unravel_index(np.argmin(agrees), agrees.shape)
-        warnings.warn(
-            "phi-form radius %.6g disagrees with exact block radius %.6g (%d point(s)); "
-            "reporting the per-block value" % (lam_phi[i], lam_exact[i], np.sum(~agrees)),
-            RuntimeWarning, stacklevel=2)
     # an inadmissible step is complex when every block is
     complex_branch = on_threshold | (~admissible & np.all(disc <= 0.0, axis=-1))
     return {
-        "lam": np.where(on_threshold & agrees, sqrt_g, lam_exact),
+        "lam": np.where(on_threshold, sqrt_g, lam_exact),
         "phi": phi,
         "branch": np.where(complex_branch, "complex", "real"),
         "big_m": big_m,
         "delta": delta,
         "admissible": admissible,
         "gamma_threshold": gamma_threshold,
-        "phi_form_agrees": agrees,
     }
 
 
@@ -226,9 +199,7 @@ def spectral_radius_closed_form(
     spectrum: HessianSpectrum, config: MomentumConfig
 ) -> SpectralReport:
     """Closed-form spectral radius, phase, and power-bound constants: the
-    scalar case of spectral_report_arrays. On the tuning domain the radius
-    equals the single-formula expression in phi, which is cross-checked and
-    surfaced if it disagrees. Inadmissible steps
+    scalar case of spectral_report_arrays. Inadmissible steps
     (alpha*ell >= 2(1+gamma)/(1-gamma)) are not an error: their block
     radius (>= 1) comes with admissible=False, so sensitivity sweeps can
     chart divergence.
@@ -244,8 +215,6 @@ def optimal_hyperparameters(spectrum: HessianSpectrum):
     and the attained radius lam* = sqrt(gamma*).
     """
     mu, ell = spectrum.mu, spectrum.ell
-    if mu <= 0:
-        raise ValueError("mu must be positive")
     alpha = 1.0 / math.sqrt(mu * ell)
     lam = (math.sqrt(ell) - math.sqrt(mu)) / (math.sqrt(ell) + math.sqrt(mu))
     return alpha, lam * lam, lam

@@ -25,7 +25,7 @@ from sgdmlab import (
     read_csv,
     run_experiment,
 )
-from sgdmlab import harness, optimizer
+from sgdmlab import harness
 from sgdmlab.harness import Z_CRIT, _run_replication, _tag
 
 
@@ -142,6 +142,22 @@ def test_parse_batch_exclusivity(tmp_path):
     path.write_text(json.dumps({"experiment": "convergence", "batch": 10}))
     with pytest.raises(ValueError, match="either batch or batch_frac"):
         parse_config(["--config", str(path), "--batch-frac", "0.1"])
+
+
+def test_batch_from_flag_and_file(tmp_path):
+    # n = 60 would take batch 12 from the default batch_frac 0.2
+    argv = ["convergence", "--n", "60", "--dim", "2", "--iters", "5", "--reps", "1"]
+    assert parse_config(argv + ["--batch", "10"]).batch == 10
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "convergence", "n": 60, "batch": 10}))
+    assert parse_config(["--config", str(path)]).batch == 10
+    out_dir = tmp_path / "b10"
+    assert main(argv + ["--batch", "10", "--out", str(out_dir)]) == 0
+    names = [n for n in os.listdir(out_dir) if n.endswith(".csv")]
+    assert len(names) == 3 + 1
+    for name in names:
+        meta, _ = read_csv(str(out_dir / name))
+        assert meta["batch"] == "10", name
 
 
 def test_parse_threads_from_environment(monkeypatch):
@@ -452,6 +468,21 @@ def test_coverage_auto_burn_in_resolves(tmp_path):
     assert 1 <= n0 <= 200  # clamped to iters // 2
 
 
+def test_auto_burn_in_falls_back_off_the_contractive_radius(tmp_path, capsys):
+    # alpha 5 puts every cell's predicted radius above 1, where no burn-in
+    # can be derived from it: n0 auto takes half the run instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["averaged", "--n", "50", "--dim", "2", "--iters", "20", "--reps", "2",
+                     "--alpha", "5", "--n0", "auto", "--out", str(tmp_path / "fb")]) == 0
+    assert "3 cell(s), 4 divergent run(s)" in capsys.readouterr().out
+    _, rows = read_csv(str(tmp_path / "fb" / "summary.csv"))
+    assert [r["gamma"] for r in rows] == [0, 0.9, "adaptive"]
+    assert all(r["lam_mean"] > 1.0 for r in rows)
+    assert [r["n0"] for r in rows] == [10, 10, 10]
+    assert [r["divergent"] for r in rows] == [2, 0, 2]
+
+
 def test_coverage_frozen_reference_run(tmp_path):
     # statistical regression anchor: adaptive-free fixed-momentum coverage
     # with a known-good configuration; bands are generous against seed drift
@@ -515,6 +546,16 @@ def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
         assert rc == 2, argv
         assert capsys.readouterr().out.startswith("error: "), argv
         assert not (out_dir / "config.json").exists(), argv
+    (tmp_path / "nope.json").write_text(json.dumps({"experiment": "nope"}))
+    for argv, message in [
+        (["convergence", "--n0", "-1"], "error: n0 must be 'auto' or a nonnegative integer"),
+        (["convergence", "--threads", "0"], "error: threads must be >= 1"),
+        (["--config", str(tmp_path / "nope.json")], "error: unknown experiment 'nope'"),
+    ]:
+        out_dir = tmp_path / "refused"
+        assert main(argv + ["--out", str(out_dir)]) == 2, argv
+        assert capsys.readouterr().out.strip() == message, argv
+        assert not out_dir.exists(), argv
     # config-file values of a JSON type the field cannot take; a payload
     # that sets out gets no --out flag, which would win over it
     monkeypatch.chdir(tmp_path)
@@ -610,7 +651,7 @@ def test_replication_resolves_gamma_and_inference_once(monkeypatch, tmp_path):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(optimizer, "adaptive_gamma")
+    counted(harness, "adaptive_gamma")
     counted(harness, "plug_in_covariance")
     counted(harness, "chi_square_quantile")
     cfg = ExperimentConfig(

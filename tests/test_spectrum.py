@@ -434,12 +434,35 @@ def test_big_m_at_least_one_when_delta_positive():
 
 
 def test_phi_form_agrees_everywhere_admissible():
+    # reference: on the admissible domain the radius is also the single
+    # formula in phi, b = g + 1 - (1-g) phi, lam = (b + sqrt(b^2 - 4g))/2 on
+    # the real branch and sqrt(g) on the complex one. A quarter of the points
+    # sit exactly on the phase threshold (the adaptive gamma), and alpha
+    # ranges up to the stability cap, so alpha*mu > 1 is sampled too; an
+    # adaptive gamma is admissible for every alpha*ell < 2
     rng = np.random.default_rng(31)
+    checked = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for _ in range(80):
-            _, _, rep = random_admissible(rng)
-            assert rep.phi_form_agrees
+        for _ in range(100):
+            mu = 10.0 ** rng.uniform(-2, 2)
+            ell = mu * 10.0 ** rng.uniform(0, 4)
+            spec = HessianSpectrum(np.concatenate([[mu, ell], rng.uniform(mu, ell, 3)]))
+            g = rng.uniform(0.0, 0.999, 1000)
+            a = rng.uniform(0.0, 1.0, 1000) * 2.0 * (1.0 + g) / ((1.0 - g) * ell)
+            a[:250] = rng.uniform(0.0, 1.0, 250) * min(1.0 / mu, 2.0 / ell)
+            g[:250] = [adaptive_gamma(mu, x) for x in a[:250]]
+            rep = spectrum.spectral_report_arrays(spec, a, g)
+            ok = rep["admissible"]
+            g, phi, lam = g[ok], rep["phi"][ok], rep["lam"][ok]
+            b = g + 1.0 - (1.0 - g) * phi
+            disc = b * b - 4.0 * g
+            on_complex = (rep["branch"][ok] == "complex") | (disc <= 0.0)
+            real_root = 0.5 * (b + np.sqrt(np.maximum(disc, 0.0)))
+            lam_phi = np.where(on_complex, np.sqrt(g), real_root)
+            np.testing.assert_array_less(np.abs(lam_phi - lam), 1e-6)
+            checked += ok.sum()
+    assert checked >= 100_000
 
 
 @settings(max_examples=120, deadline=None)
