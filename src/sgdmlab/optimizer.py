@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -34,6 +35,8 @@ BLOWUP_DEFAULT = 1e12
 _INDEX_BLOCK = 1 << 16
 # most doubles per gather in run_cells: 256 KB
 _GATHER_BLOCK = 1 << 15
+# most doubles of iterates run_cells steps between bookkeeping passes: 32 KB
+_STEP_BLOCK = 1 << 12
 
 
 class DivergedError(RuntimeError):
@@ -83,7 +86,9 @@ class Trajectory:
 
     Every step is recorded while t <= 1000; beyond that only multiples of
     record_stride (and the final step), which bounds memory on long runs.
-    Error norms are computed in full precision at the record points.
+    The arrays are allocated once per run and filled once per block of
+    steps; each error norm is sqrt(e.dot(e)), np.linalg.norm's arithmetic,
+    of the iterate's or the running average's error at that step.
     """
 
     steps: np.ndarray
@@ -91,9 +96,10 @@ class Trajectory:
     err_avg: np.ndarray
 
 
-def _momentum_update(x: np.ndarray, m: np.ndarray, gamma: float, alpha: float,
+def _momentum_update(x: np.ndarray, m: np.ndarray, gamma, alpha,
                      gradient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The SGDM recursion; returns the successor (x, m)."""
+    """The SGDM recursion; returns the successor (x, m). gamma and alpha are
+    scalars, or arrays shaped like x that hold each row's scalar."""
     m_next = gamma * m + (1.0 - gamma) * gradient
     return x - alpha * m_next, m_next
 
@@ -119,10 +125,19 @@ def resolve_gamma(problem: ProblemInstance, config: MomentumConfig) -> float:
     return config.gamma
 
 
-def _dist(x: np.ndarray, y: np.ndarray) -> float:
-    """||x - y||, by np.linalg.norm's own arithmetic for a 1-D float vector."""
-    d = x - y
-    return math.sqrt(d.dot(d))
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """The norm of each row of d along its last axis: sqrt(row.dot(row)),
+    np.linalg.norm's arithmetic for a 1-D float vector, one stacked matmul
+    making the dot call of each row."""
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def _record_steps(iters: int, stride: int) -> np.ndarray:
+    """The steps a Trajectory records: every t <= 1000, then the multiples
+    of `stride` and the last step, built without an iters-long temporary."""
+    steps = np.concatenate([np.arange(1, min(iters, 1000) + 1),
+                            np.arange((1000 // stride + 1) * stride, iters + 1, stride)])
+    return steps if steps[-1] == iters else np.append(steps, iters)
 
 
 def _batches(rng: RngStream, problem: ProblemInstance, batch: int, iters: int):
@@ -143,17 +158,6 @@ def _batches(rng: RngStream, problem: ProblemInstance, batch: int, iters: int):
             yield from zip(*problem.gather(block[first:first + per_gather]))
 
 
-class _Cell:
-    """One configuration's live iterate, average and records in run_cells."""
-
-    def __init__(self, config: MomentumConfig, n0: int, x: np.ndarray):
-        self.config = config
-        self.x = x
-        self.m = np.zeros_like(x)
-        self.avg = AveragingState(n0=n0)
-        self.records: list[tuple] = []  # (t, err_last, err_avg)
-
-
 def run_cells(
     problem: ProblemInstance,
     configs: list,
@@ -166,17 +170,26 @@ def run_cells(
 ) -> list:
     """`run` for K configurations (one batch size) in lockstep on one stream.
 
-    Every cell starts at `x_init` (zeros if None) and sees the same batches:
-    each step's batch is gathered once, then every live cell takes its own
-    gradient, update, fold (t > its n0) and error check, so each cell is
+    Every cell starts at `x_init` (zeros if None) and sees the same batches.
+    The K iterates and momentum buffers are one (K, d) stack each: a step
+    takes one stacked `batch_gradient` on the step's gathered batch and one
+    `_momentum_update` with per-cell coefficients, row k doing exactly the
+    arithmetic of cell k alone. Each new iterate stack goes into a buffer
+    of at most _STEP_BLOCK doubles; after each block of steps, stacked
+    reductions give every step's error norm, each cell's first step whose
+    norm fails `<= blowup` (or is not finite), the running sums (an
+    in-order cumsum that folds x_t for t > n0, so the first fold is 0.0 + x)
+    and the error of the average at the record steps. So each cell is
     bit-identical to a `run` of it alone. The indices are drawn and
     gathered in blocks of steps (`_batches`) with the values and order of
     per-step draws and gathers; once every cell has diverged, the stream
-    may sit past the last index used, up to its block's end.
+    may sit past the last index used, up to the end of the index block that
+    holds that step block's last step.
 
     Returns per configuration (OptimizerState, AveragingState, Trajectory),
     or the DivergedError of a cell whose error norm stopped being finite or
-    exceeded `blowup`; a diverged cell leaves the stack, the others go on.
+    exceeded `blowup`; a diverged cell leaves the stack at the end of that
+    step block with the step it failed at, and the others go on.
     """
     configs, n0s = list(configs), list(n0s)
     if not configs:
@@ -187,7 +200,11 @@ def run_cells(
         raise ValueError("configurations must share one batch size")
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    if record_stride < 1:
+        raise ValueError("record_stride must be >= 1")
     for cfg, n0 in zip(configs, n0s):
+        if n0 < 0:
+            raise ValueError("n0 must be >= 0")
         if n0 >= iters:
             raise ValueError("n0 must be < iters")
         if cfg.alpha <= 0:
@@ -195,52 +212,72 @@ def run_cells(
     x0 = np.array(x_init, dtype=float) if x_init is not None else np.zeros(problem.dim)
     if x0.shape != (problem.dim,):
         raise ValueError("x_init must have shape (dim,)")
-    cells = [
-        _Cell(replace(cfg, gamma=resolve_gamma(problem, cfg)), n0, x0.copy())
-        for cfg, n0 in zip(configs, n0s)
-    ]
-    results: list = [None] * len(cells)
-    live = list(enumerate(cells))
+    configs = [replace(cfg, gamma=resolve_gamma(problem, cfg)) for cfg in configs]
+    cells, dim = len(configs), problem.dim
+    results: list = [None] * cells
+    # row i of every stack below is cell live[i]; (K, d) coefficient arrays
+    # multiply elementwise as the scalars would, without a broadcast
+    live = np.arange(cells)
+    gamma = np.repeat([[cfg.gamma] for cfg in configs], dim, 1)
+    alpha = np.repeat([[cfg.alpha] for cfg in configs], dim, 1)
+    n0 = np.array(n0s)
+    x = np.repeat(x0[None], cells, 0)
+    m = np.zeros_like(x)
+    total = np.zeros_like(x)
+    steps = _record_steps(iters, record_stride)
+    err_last = np.empty((cells, steps.size))
+    err_avg = np.empty_like(err_last)
+    recorded = 0
+    per_block = max(1, _STEP_BLOCK // (cells * dim))
+    block = np.empty((per_block, cells, dim))
     rng = seed if isinstance(seed, RngStream) else RngStream(int(seed))
     batches = _batches(rng, problem, configs[0].batch_size, iters)
     x_star = problem.x_star
 
     # no finiteness check on the gradient: a non-finite one makes x, and so
-    # the error norm, non-finite at the same step. An overflow in a step is
-    # that step's divergence, or exp saturating in the logistic sigmoid
-    # (whose value, 0, is right): neither is worth a warning
-    with np.errstate(over="ignore"):
-        for t, data in enumerate(batches, 1):
-            record = t <= 1000 or t % record_stride == 0 or t == iters
-            diverged = False
-            for k, cell in live:
-                cfg = cell.config
-                g = problem.batch_gradient(data, cell.x)
-                cell.x, cell.m = _momentum_update(cell.x, cell.m, cfg.gamma, cfg.alpha, g)
-                x, avg = cell.x, cell.avg
-                avg.fold(x, t)
-                err = _dist(x, x_star)
-                if not math.isfinite(err) or err > blowup:
-                    results[k] = DivergedError(
-                        t, f"error norm {err:.3e} beyond blow-up threshold")
-                    diverged = True
-                    continue
-                if record:
-                    cell.records.append((
-                        t,
-                        err,
-                        _dist(avg.mean, x_star) if avg.count else math.nan,
-                    ))
-            if diverged:
-                live = [(k, cell) for k, cell in live if results[k] is None]
-                if not live:
+    # the error norm, non-finite at the same step. An overflow or invalid
+    # value is a diverged row stepping on to its block's end, or exp
+    # saturating in the logistic sigmoid (whose value, 0, is right): none
+    # is worth a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1, iters + 1, per_block):
+            size = min(per_block, iters + 1 - first)
+            for j, data in enumerate(islice(batches, size)):
+                g = problem.batch_gradient(data, x)
+                x, m = _momentum_update(x, m, gamma, alpha, g)
+                block[j] = x
+            xs = block[:size]
+            err = _row_norms(xs - x_star)
+            t = np.arange(first, first + size)
+            folds = np.where((t[:, None] > n0)[..., None], xs, 0.0)
+            folds[0] += total
+            sums = np.cumsum(folds, axis=0, out=folds)
+            total = sums[-1].copy()
+            stop = np.searchsorted(steps, first + size - 1, "right")
+            at = steps[recorded:stop] - first
+            count = steps[recorded:stop, None] - n0
+            avg_err = _row_norms(sums[at] / np.maximum(count, 1)[..., None] - x_star)
+            err_last[live, recorded:stop] = err[at].T
+            err_avg[live, recorded:stop] = np.where(count > 0, avg_err, math.nan).T
+            recorded = stop
+            failed = ~(np.isfinite(err) & (err <= blowup))
+            gone = failed.any(0)
+            if gone.any():
+                for row in np.flatnonzero(gone):
+                    j = int(failed[:, row].argmax())
+                    results[live[row]] = DivergedError(
+                        first + j, f"error norm {err[j, row]:.3e} beyond blow-up threshold")
+                live, x, m, total, gamma, alpha, n0 = (
+                    a[~gone] for a in (live, x, m, total, gamma, alpha, n0))
+                if not live.size:
                     break
+                block = block[:, :live.size]
 
-    for k, cell in live:
-        steps, err_last, err_avg = (np.array(col) for col in zip(*cell.records))
-        traj = Trajectory(steps=steps, err_last=err_last, err_avg=err_avg)
-        state = OptimizerState(x=cell.x, m=cell.m, t=iters + 1, config=cell.config)
-        results[k] = (state, cell.avg, traj)
+    for row, k in enumerate(live):
+        traj = Trajectory(steps=steps, err_last=err_last[k], err_avg=err_avg[k])
+        state = OptimizerState(x=x[row], m=m[row], t=iters + 1, config=configs[k])
+        avg = AveragingState(n0=n0s[k], count=iters - n0s[k], sum=total[row])
+        results[k] = (state, avg, traj)
     return results
 
 

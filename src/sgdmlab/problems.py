@@ -110,9 +110,10 @@ class QuadraticProblem:
         self._upper, self._unpack = np.ascontiguousarray(self.a_mats[:, rows, cols]), unpack
 
     def batch_gradient(self, batch: tuple, x: np.ndarray) -> np.ndarray:
-        """Mini-batch gradient at x from a `gather` result."""
+        """Mini-batch gradient at x, or at each row of a (K, d) stack x, from
+        a `gather` result; a stack row gets the bits of its 1-D gradient."""
         a_mean, b_mean = batch
-        return a_mean @ x - b_mean
+        return np.matmul(a_mean, x[..., None])[..., 0] - b_mean
 
     def minibatch_gradient(self, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
         return self.batch_gradient(self.gather(indices), x)
@@ -190,7 +191,8 @@ class LogisticProblem:
         return self.dim + 1
 
     def batch_gradient(self, batch: tuple, x: np.ndarray) -> np.ndarray:
-        """Mini-batch gradient at x from a `gather` result."""
+        """Mini-batch gradient at x, or at each row of a (K, d) stack x, from
+        a `gather` result; a stack row gets the bits of its 1-D gradient."""
         features, labels = batch
         return _logistic_gradient(features, labels, self.nu, x)
 
@@ -219,8 +221,11 @@ def _sigmoid(z):
 
 
 def _logistic_gradient(features, labels, nu, x):
-    p = _sigmoid(features @ x)
-    return features.T @ (p - labels) / features.shape[0] + nu * x
+    """Mean logistic gradient at x, or at each row of a (K, d) stack x:
+    numpy makes the same gemv call per row of a stacked matmul as for a
+    1-D x, so each row is bit-identical to that x's own gradient."""
+    p = _sigmoid(np.matmul(features, x[..., None])[..., 0])
+    return np.matmul(features.T, (p - labels)[..., None])[..., 0] / features.shape[0] + nu * x
 
 
 def _logistic_loss(features, labels, nu, x) -> float:

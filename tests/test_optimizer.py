@@ -2,6 +2,7 @@
 divergence handling, burn-in rule."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from sgdmlab import (
     RngStream,
     adaptive_gamma,
     choose_burn_in,
+    generate_logistic,
     generate_quadratic,
     plug_in_covariance,
     resolve_gamma,
@@ -207,6 +209,10 @@ def test_run_validates_arguments():
         run(p, MomentumConfig(alpha=0.01), iters=0, seed=1)
     with pytest.raises(ValueError):
         run(p, MomentumConfig(alpha=0.01), iters=10, seed=1, n0=10)
+    with pytest.raises(ValueError, match="n0 must be >= 0"):
+        run(p, MomentumConfig(alpha=0.01), iters=10, seed=1, n0=-5)
+    with pytest.raises(ValueError, match="record_stride"):
+        run(p, MomentumConfig(alpha=0.01), iters=10, seed=1, record_stride=0)
     with pytest.raises(ValueError, match="alpha must be positive"):
         run(p, MomentumConfig(alpha=0.0), iters=10, seed=1)
     with pytest.raises(ValueError):
@@ -221,14 +227,26 @@ def test_run_non_finite_start_raises_at_first_step():
     assert err.value.step == 1
 
 
+def textbook_gradient(p, x, idx):
+    """The mini-batch gradient: the quadratic batch mean through
+    `minibatch_gradient`, the logistic one written out on the batch rows."""
+    if p.family == "quadratic":
+        return p.minibatch_gradient(x, idx)
+    features, labels = p.features[idx], p.labels[idx]
+    with np.errstate(over="ignore"):  # exp saturates, the sigmoid is 0
+        prob = 1.0 / (1.0 + np.exp(-(features @ x)))
+    return features.T @ (prob - labels) / len(idx) + p.nu * x
+
+
 def textbook_cell(p, gamma, alpha, n0, iters, seed, batch, x0, blowup=1e12):
     """The two-line recursion written out, with its own running sum and
-    error norms; returns the divergence step or the final quantities."""
+    error norms at every step; returns the divergence step or the final
+    quantities."""
     rng = RngStream(seed)
     x, m, total, count = x0.copy(), np.zeros_like(x0), np.zeros_like(x0), 0
     err_last, err_avg = [], []
     for t in range(1, iters + 1):
-        g = p.minibatch_gradient(x, rng.batch_indices(p.n_samples, batch))
+        g = textbook_gradient(p, x, rng.batch_indices(p.n_samples, batch))
         m = gamma * m + (1.0 - gamma) * g
         x = x - alpha * m
         if t > n0:
@@ -239,23 +257,25 @@ def textbook_cell(p, gamma, alpha, n0, iters, seed, batch, x0, blowup=1e12):
             return {"step": t}
         err_last.append(err)
         err_avg.append(float(np.linalg.norm(total / count - p.x_star)) if count else math.nan)
-    return {"x": x, "m": m, "sum": total, "err_last": err_last, "err_avg": err_avg}
+    return {"x": x, "m": m, "sum": total, "count": count,
+            "err_last": err_last, "err_avg": err_avg}
 
 
-def assert_cells_match_textbook(p, configs, n0s, iters, seed, x0):
+def assert_cells_match_textbook(p, configs, n0s, iters, seed, x0, blowup=1e12):
     """run_cells against textbook_cell per configuration, bit for bit;
     returns the divergence steps."""
     batch = configs[0].batch_size
-    results = run_cells(p, configs, iters=iters, seed=seed, n0s=n0s, x_init=x0)
+    results = run_cells(p, configs, iters=iters, seed=seed, n0s=n0s, x_init=x0, blowup=blowup)
     assert len(results) == len(configs)
     diverged = []
     for cfg, n0, got in zip(configs, n0s, results):
-        want = textbook_cell(p, resolve_gamma(p, cfg), cfg.alpha, n0, iters, seed, batch, x0)
+        want = textbook_cell(p, resolve_gamma(p, cfg), cfg.alpha, n0, iters, seed, batch, x0,
+                             blowup)
         if "step" in want:
             assert isinstance(got, DivergedError)
             assert got.step == want["step"]
             with pytest.raises(DivergedError) as alone:
-                run(p, cfg, iters=iters, seed=seed, n0=n0, x_init=x0)
+                run(p, cfg, iters=iters, seed=seed, n0=n0, x_init=x0, blowup=blowup)
             assert alone.value.step == got.step
             diverged.append(got.step)
             continue
@@ -322,6 +342,92 @@ def test_run_cells_matches_textbook_loops_across_gather_blocks():
     ]
     diverged = assert_cells_match_textbook(p, configs, [0, 0, 0, 0, 3], 14, 7, x0)
     assert diverged == [8, 9, 10]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim, per_block, diverging, steps", [
+    (1, 3, [(2.6e9, 0.0), (1.1e9, 0.0), (2e9, 0.5)], [2, 6, 7]),
+    (3, 6, [(3e9, 0.5), (1.6e9, 0.0), (1.7e9, 0.5)], [5, 6, 7]),
+])
+def test_run_cells_matches_textbook_logistic_loops(monkeypatch, dim, per_block, diverging, steps):
+    # the logistic engine against the sigmoid gradient written out: an
+    # alpha of 1e5 saturates exp (the sigmoid reads 0 or 1) and survives the
+    # blow-up radius 1e9, and three cells pass it inside a step block, at
+    # its last step and at the next block's first step
+    p = generate_logistic(60, dim, np.ones(dim) / math.sqrt(dim), nu=0.0, seed=3)
+    x0 = p.x_star + 0.5
+    configs = [
+        MomentumConfig(alpha=0.5, gamma=0.6, batch_size=5),
+        MomentumConfig(alpha=0.5, gamma_mode=GammaMode.ADAPTIVE, batch_size=5),
+        MomentumConfig(alpha=1e5, gamma=0.0, batch_size=5),
+    ] + [MomentumConfig(alpha=alpha, gamma=gamma, batch_size=5) for alpha, gamma in diverging]
+    monkeypatch.setattr(optimizer, "_STEP_BLOCK", per_block * len(configs) * dim)
+    diverged = assert_cells_match_textbook(p, configs, [0, 4, 10, 0, 0, 0], 24, 7, x0,
+                                           blowup=1e9)
+    assert diverged == steps
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("per_block", [None, 3])
+def test_run_bookkeeping_across_step_blocks(monkeypatch, per_block):
+    # run_cells norms, folds and records once per block of steps: stride 7
+    # past step 1000 and n0 1200 fall inside blocks, at the default block
+    # (1024 steps here) and at 3 steps
+    if per_block is not None:
+        monkeypatch.setattr(optimizer, "_STEP_BLOCK", per_block * 4)
+    p = generate_quadratic(60, 4, 1.0, 10.0, 6)
+    x0 = p.x_star + np.array([1.0, -0.5, 0.3, 0.8])
+    cfg = MomentumConfig(alpha=0.02, gamma=0.6, batch_size=8)
+    state, avg, traj = run(p, cfg, iters=2500, seed=7, n0=1200, record_stride=7, x_init=x0)
+    want = textbook_cell(p, 0.6, 0.02, 1200, 2500, 7, 8, x0)
+    steps = list(range(1, 1001)) + list(range(1001, 2500, 7)) + [2500]
+    assert traj.steps.tolist() == steps
+    at = np.array(steps) - 1
+    assert np.isnan(traj.err_avg[traj.steps <= 1200]).all()
+    assert not np.isnan(traj.err_avg[traj.steps > 1200]).any()
+    np.testing.assert_array_equal(traj.err_last, np.array(want["err_last"])[at])
+    np.testing.assert_array_equal(traj.err_avg, np.array(want["err_avg"])[at])
+    assert avg.count == want["count"] == 1300
+    assert np.array_equal(avg.sum, want["sum"])
+    assert np.array_equal(state.x, want["x"]) and np.array_equal(state.m, want["m"])
+
+
+def test_record_steps_need_no_iters_long_temporary():
+    # a NaN start diverges in the first step block, so this run of two
+    # million steps allocates its 2,999 record steps, one index draw (512 KB)
+    # and one gather block (256 KB); building the steps from a mask over
+    # every step would take 16 MB more
+    p = generate_quadratic(40, 3, 1.0, 10.0, 8)
+    cfg = MomentumConfig(alpha=0.01, batch_size=4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DivergedError) as err:
+            run(p, cfg, iters=2_000_000, seed=1, record_stride=1000, x_init=np.full(3, math.nan))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.step == 1
+    assert peak < 4_000_000
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_cells_all_cells_diverge(monkeypatch):
+    # every row leaves the stack with its own step, in blocks of 5 steps;
+    # a row that diverges first steps on to its block's end without a warning
+    configs = [MomentumConfig(alpha=alpha, gamma=0.0, batch_size=8)
+               for alpha in (10.0, 2.0, 1.2, 0.9, 0.2)]
+    monkeypatch.setattr(optimizer, "_STEP_BLOCK", 5 * len(configs) * 4)
+    p = generate_quadratic(60, 4, 1.0, 10.0, 6)
+    x0 = p.x_star + np.array([1.0, -0.5, 0.3, 0.8])
+    n0s = [0, 0, 5, 0, 30]
+    results = run_cells(p, configs, iters=400, seed=7, n0s=n0s, x_init=x0)
+    steps = []
+    for cfg, n0, got in zip(configs, n0s, results):
+        want = textbook_cell(p, 0.0, cfg.alpha, n0, 400, 7, 8, x0)
+        assert isinstance(got, DivergedError)
+        assert got.step == want["step"]
+        steps.append(got.step)
+    assert steps == [6, 9, 11, 12, 48]
 
 
 def test_run_cells_validates_arguments():

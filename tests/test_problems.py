@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from sgdmlab import MomentumConfig, RngStream, generate_logistic, generate_quadratic, run
+from sgdmlab import MomentumConfig, RngStream, generate_logistic, generate_quadratic, optimizer, run
 from sgdmlab.problems import (
     GenerationError,
     _logistic_gradient,
@@ -235,6 +235,36 @@ def test_generated_hessians_are_bitwise_symmetric():
             for rho in (0.3, 1.0):
                 p = generate_quadratic(20, dim, rho=rho, diag_shift=10.0, seed=seed)
                 assert np.array_equal(p.a_mats, p.a_mats.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 33])
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_stacked_batch_gradient_and_norms_equal_per_row(family, dim):
+    # run_cells takes one batch_gradient over its (K, d) iterate stack and
+    # one stacked row dot for the error norms: numpy must make the same
+    # gemv and dot call per row as for a 1-D x, bit for bit
+    if family == "quadratic":
+        p = generate_quadratic(100, dim, rho=1.0, diag_shift=10.0, seed=6)
+    else:
+        p = generate_logistic(100, dim, np.ones(dim) / math.sqrt(dim), nu=0.1, seed=6)
+    stream = RngStream(6, 1)
+    for batch in (1, 7, 800):
+        data = p.gather(stream.batch_indices(100, batch))
+        # the 1-D expressions, as written before the engine stacked cells
+        if family == "quadratic":
+            plain = lambda x: data[0] @ x - data[1]  # noqa: E731
+        else:
+            plain = lambda x: (data[0].T @ (_sigmoid(data[0] @ x) - data[1])  # noqa: E731
+                               / batch + p.nu * x)
+        for cells in (1, 3, 5):
+            xs = p.x_star + stream.standard_normal((cells, dim))
+            got = p.batch_gradient(data, xs)
+            assert got.shape == (cells, dim)
+            assert np.array_equal(got, [p.batch_gradient(data, x) for x in xs])
+            assert np.array_equal(got, [plain(x) for x in xs])
+            norms = optimizer._row_norms(got)
+            assert norms.tolist() == [math.sqrt(g.dot(g)) for g in got]
+            assert optimizer._row_norms(got[None]).tolist() == [norms.tolist()]
 
 
 def test_gather_refuses_asymmetric_hessians():
