@@ -26,11 +26,12 @@ from .inference import (
     confidence_interval,
     confidence_region_statistic,
     ks_normality,
+    normal_quantile,
     plug_in_covariance,
     z_statistic,
 )
 from .optimizer import DivergedError, choose_burn_in, run_cells
-from .problems import generate_logistic, generate_quadratic
+from .problems import GenerationError, generate_logistic, generate_quadratic
 from .rand import GENERATOR_NAME, RngStream
 from .spectrum import (
     HessianSpectrum,
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 THREADS_ENV_VAR = "SGDMLAB_THREADS"
-Z_CRIT = 1.959963984540054
+Z_CRIT = normal_quantile(0.975)
 
 _DYADIC_ALPHAS = [2.0**k for k in range(1, -7, -1)]
 # each experiment's own defaults; an experiment without alphas here steps at
@@ -129,14 +130,17 @@ class ExperimentConfig:
             raise ValueError("n must be > dim for the logistic family with nu = 0")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        # spectrum-map takes no steps: its iters (0) and n0 are unused
-        stepped = self.experiment != "spectrum-map"
-        if stepped and self.iters < 1:
+        # spectrum-map takes no steps (its iters is 0); only a sweep uses n0
+        sweep = self.experiment not in ("spectrum-map", "power-bound")
+        if self.experiment != "spectrum-map" and self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        # a sweep's replication r is keyed by seed + r, a 64-bit word
+        if self.seed + (self.reps - 1 if sweep else 0) >= 2**64:
+            raise ValueError("seed (plus reps - 1 for a sweep) must be < 2**64")
         if not (self.gammas and self.alphas):
             raise ValueError("gamma and alpha need at least one value each")
         for a in self.alphas:
@@ -150,10 +154,10 @@ class ExperimentConfig:
                              "give distinct gamma and alpha values")
         if self.n0 != "auto" and not 0 <= int(self.n0):
             raise ValueError("n0 must be 'auto' or a nonnegative integer")
-        if stepped and self.n0 != "auto" and int(self.n0) >= self.iters:
+        if sweep and self.n0 != "auto" and int(self.n0) >= self.iters:
             raise ValueError("n0 must be < iters")
         # auto resolves to at least 1, which needs a step after it
-        if stepped and self.n0 == "auto" and self.iters < 2:
+        if sweep and self.n0 == "auto" and self.iters < 2:
             raise ValueError("n0 'auto' needs iters >= 2")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
@@ -709,7 +713,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
-    summary = run_experiment(cfg)
+    try:
+        summary = run_experiment(cfg)
+    except GenerationError as exc:
+        print(f"error: {exc}")
+        return 1
     print(
         f"{summary.experiment}: {len(summary.cells)} cell(s), "
         f"{summary.divergent_total} divergent run(s), "

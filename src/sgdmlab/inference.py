@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import ProblemInstance, gradient_gram
+from .problems import ProblemInstance
 
 __all__ = [
     "CovarianceEstimate",
@@ -133,19 +133,21 @@ class CovarianceEstimate:
         self.sandwich = 0.5 * (sw + sw.T)
 
 
-def plug_in_covariance(problem: ProblemInstance, at: np.ndarray | None = None) -> CovarianceEstimate:
-    """Plug-in covariance pieces.
+def gradient_gram(grads: np.ndarray) -> tuple[float, np.ndarray]:
+    """(sigma2, omega) of an (N, d) per-sample gradient array: the mean
+    squared gradient norm and the gradient Gram normalized by N*sigma2.
+    Where every gradient is zero, so is omega."""
+    sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
+    if sigma2 == 0.0:
+        return sigma2, np.zeros((grads.shape[1], grads.shape[1]))
+    return sigma2, grads.T @ grads / (grads.shape[0] * sigma2)
 
-    Default (at=None) evaluates everything at the known minimizer, matching
-    the simulation protocol. Passing a point (e.g. the averaged iterate)
-    switches to estimation mode for use when the minimizer is unknown; the
-    Hessian and gradient Gram are then evaluated there instead.
-    """
-    if at is None:
-        sigma = problem.hessian_at(problem.x_star)
-        return CovarianceEstimate(sigma_matrix=sigma, omega=problem.omega,
-                                  sigma2=problem.sigma2)
-    at = np.asarray(at, dtype=float)
+
+def plug_in_covariance(problem: ProblemInstance, at: np.ndarray | None = None) -> CovarianceEstimate:
+    """The Hessian and the gradient Gram of `problem`'s per-sample gradients
+    at one point: the known minimizer by default, the simulation protocol's
+    oracle, or `at` (e.g. the averaged iterate) when it is unknown."""
+    at = problem.x_star if at is None else np.asarray(at, dtype=float)
     sigma2, omega = gradient_gram(problem.per_sample_gradients(at))
     return CovarianceEstimate(sigma_matrix=problem.hessian_at(at), omega=omega, sigma2=sigma2)
 

@@ -1,10 +1,10 @@
 """Synthetic problem families with exact oracles.
 
 Two families: random quadratic losses f_i(x) = x'A_i x/2 - b_i'x and
-l2-regularized logistic regression. Each instance carries its minimizer,
-Hessian, the normalized Gram matrix of per-sample gradients at the
-minimizer, and smoothness constants, so optimizer trajectories and
-confidence procedures can be checked against ground truth.
+l2-regularized logistic regression. Each instance carries its data, its
+minimizer, Hessian and smoothness constants, and per-sample gradient
+oracles, so optimizer trajectories and confidence procedures can be checked
+against ground truth.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ class QuadraticProblem:
     are the average extreme curvatures across component losses, the values
     the tuning rules (adaptive momentum, optimal hyperparameters) consume;
     the exact spectrum of sigma_hat is available via hessian_spectrum().
-    sigma2 is the mean squared norm of per-sample gradients at x_star and
-    omega the per-sample gradient Gram matrix normalized by N*sigma2 (so
-    trace(omega) = 1).
     """
 
     a_mats: np.ndarray
@@ -47,8 +44,6 @@ class QuadraticProblem:
     sigma_hat: np.ndarray
     mu: float
     ell: float
-    sigma2: float
-    omega: np.ndarray
     seed: int
     rho: float
     diag_shift: float
@@ -153,8 +148,6 @@ class LogisticProblem:
     sigma_at_star: np.ndarray
     mu: float
     ell: float
-    sigma2: float
-    omega: np.ndarray
     lbar: float
     lf: float
     seed: int
@@ -240,16 +233,6 @@ def _logistic_hessian(features, nu, x) -> np.ndarray:
     return (features * w[:, None]).T @ features / features.shape[0] + nu * np.eye(features.shape[1])
 
 
-def gradient_gram(grads: np.ndarray) -> tuple[float, np.ndarray]:
-    """(sigma2, omega) of an (N, d) per-sample gradient array: the mean
-    squared gradient norm and the gradient Gram normalized by N*sigma2.
-    Where every gradient is zero, so is omega."""
-    sigma2 = float(np.mean(np.sum(grads * grads, axis=1)))
-    if sigma2 == 0.0:
-        return sigma2, np.zeros((grads.shape[1], grads.shape[1]))
-    return sigma2, grads.T @ grads / (grads.shape[0] * sigma2)
-
-
 def _resolve_stream(seed) -> tuple[RngStream, int]:
     if isinstance(seed, RngStream):
         return seed, seed.seed
@@ -275,34 +258,20 @@ def generate_quadratic(
     v = stream.standard_normal((n_samples, dim, dim))
     a_mats = rho * np.einsum("nij,nik->njk", v, v) + diag_shift * np.eye(dim)
     b_vecs = stream.standard_normal((n_samples, dim))
-    return _quadratic_statistics(a_mats, b_vecs, seed=seed_val, rho=float(rho),
-                                 diag_shift=float(diag_shift))
-
-
-def _quadratic_statistics(a_mats: np.ndarray, b_vecs: np.ndarray, seed: int, rho: float,
-                          diag_shift: float) -> QuadraticProblem:
-    """The QuadraticProblem on (a_mats, b_vecs) with every derived field; the
-    noise statistics come from its own per-sample gradients at x_star."""
-    try:
-        x_star = np.linalg.solve(a_mats.sum(axis=0), b_vecs.sum(axis=0))
-    except np.linalg.LinAlgError as exc:  # diag_shift > 0 makes this unreachable
-        raise RuntimeError("singular mean Hessian") from exc
+    # diag_shift > 0 makes the mean Hessian nonsingular
+    x_star = np.linalg.solve(a_mats.sum(axis=0), b_vecs.sum(axis=0))
     per_sample_ev = np.linalg.eigvalsh(a_mats)
-    problem = QuadraticProblem(
+    return QuadraticProblem(
         a_mats=a_mats,
         b_vecs=b_vecs,
         x_star=x_star,
         sigma_hat=a_mats.mean(axis=0),
         mu=float(per_sample_ev[:, 0].mean()),
         ell=float(per_sample_ev[:, -1].mean()),
-        sigma2=math.nan,
-        omega=None,
-        seed=seed,
-        rho=rho,
-        diag_shift=diag_shift,
+        seed=seed_val,
+        rho=float(rho),
+        diag_shift=float(diag_shift),
     )
-    problem.sigma2, problem.omega = gradient_gram(problem.per_sample_gradients(x_star))
-    return problem
 
 
 class GenerationError(RuntimeError):
@@ -340,7 +309,8 @@ def generate_logistic(
     """Logistic family: a_i ~ N(0, I), labels Bernoulli(sigmoid(x_true'a_i)).
 
     The smoothness constants follow the per-sample curvature bounds:
-    lbar = (sqrt(3)/6) mean ||a||^3 + nu, lf = mean ||a||^2 + nu.
+    lbar = (sqrt(3)/6) mean ||a||^3 + nu, lf = mean ||a||^2 + nu. An
+    instance whose Hessian at x_star is not positive definite is refused.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -353,13 +323,6 @@ def generate_logistic(
     features = stream.standard_normal((n_samples, dim))
     labels = stream.bernoulli(_sigmoid(features @ x_true))
     x_star, _ = _minimize_full_batch(features, labels, nu)
-    return _logistic_statistics(features, labels, nu, x_star, seed=seed_val)
-
-
-def _logistic_statistics(features: np.ndarray, labels: np.ndarray, nu: float,
-                         x_star: np.ndarray, seed: int) -> LogisticProblem:
-    """The LogisticProblem with every derived field; refuses an instance
-    whose Hessian at x_star is not positive definite."""
     sigma_at_star = _logistic_hessian(features, nu, x_star)
     ev = np.linalg.eigvalsh(sigma_at_star)
     if ev[0] <= 0:
@@ -368,7 +331,7 @@ def _logistic_statistics(features: np.ndarray, labels: np.ndarray, nu: float,
             "increase nu or n_samples"
         )
     norms = np.linalg.norm(features, axis=1)
-    problem = LogisticProblem(
+    return LogisticProblem(
         features=features,
         labels=labels,
         nu=float(nu),
@@ -376,11 +339,7 @@ def _logistic_statistics(features: np.ndarray, labels: np.ndarray, nu: float,
         sigma_at_star=sigma_at_star,
         mu=float(ev[0]),
         ell=float(ev[-1]),
-        sigma2=math.nan,
-        omega=None,
         lbar=float(math.sqrt(3.0) / 6.0 * np.mean(norms**3) + nu),
         lf=float(np.mean(norms**2) + nu),
-        seed=seed,
+        seed=seed_val,
     )
-    problem.sigma2, problem.omega = gradient_gram(problem.per_sample_gradients(x_star))
-    return problem

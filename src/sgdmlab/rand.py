@@ -1,8 +1,11 @@
 """Deterministic random-number substrate for reproducible experiments.
 
 Built on numpy's Philox counter-based bit generator. A stream is keyed by
-(seed, stream id); distinct ids give statistically independent streams
-without sequential skipping, so replication r can simply own stream r.
+(seed, stream id), two 64-bit words; distinct keys give statistically
+independent streams without sequential skipping. The harness keys
+replication r by seed + r, and the stream id names the role a stream plays
+there: 0 generates the problem, 1 draws the batches and the initial offset,
+2 the criterion-09 offset, 3 the power-bound configurations.
 
 Reproducibility contract: Philox 4x64 keyed sequences are identical across
 platforms, and standard normal draws use numpy's ziggurat transform. Both
@@ -26,17 +29,20 @@ class RngStream:
     Parameters
     ----------
     seed : int
-        Base seed shared by an experiment.
+        Base seed shared by an experiment, in [0, 2**64).
     stream : int
-        Stream id; distinct ids are independent streams under the same seed.
+        Stream id in [0, 2**64); distinct ids are independent streams under
+        the same seed.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or stream < 0:
-            raise ValueError("seed and stream id must be nonnegative")
+        if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+            raise ValueError("seed and stream id must lie in [0, 2**64)")
         self.seed = int(seed)
         self.stream = int(stream)
-        self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        # uint64 words: numpy takes a list's word above 2**63 through float64
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def child(self, stream: int) -> "RngStream":
         """A new independent stream under the same seed."""

@@ -20,6 +20,7 @@ from sgdmlab import (
     MomentumConfig,
     choose_burn_in,
     main,
+    normal_quantile,
     numeric_spectral_radius,
     parse_config,
     read_csv,
@@ -249,8 +250,9 @@ sensitivity,quadratic,0.8,2.0,20,50,0,3,3,0.8000000000000002,4.71607761773366,in
 
 
 # SHA-256 of every per-cell CSV of golden_configs, recorded from a reference
-# build: per-step error means/medians and the divergent cells' rows must stay
-# byte for byte what they were
+# build: per-step error means/medians, the divergent cells' rows and the
+# coverage z, interval and region columns must stay byte for byte what they
+# were
 GOLDEN_CELL_DIGESTS = {
     "convergence": {
         "convergence_g0_a0.005.csv":
@@ -268,6 +270,18 @@ GOLDEN_CELL_DIGESTS = {
         "sensitivity_g0_a2.csv":
             "7192056f6a226986861204f72a5c79f8d03de12abbaad840174109b85c74fbbd",
     },
+    "coverage": {
+        "coverage_g0.5_a0.005.csv":
+            "cb70730779b79716a1a33df0635bc74cd27fb42f5c2a5be4ec43c4a6533663ec",
+        "coverage_gadaptive_a0.005.csv":
+            "7a5a6a5f22ec51818f2fab1d109f7a52c2f4bb8ab122ef8f0e52d54c435917b1",
+    },
+    "coverage-logistic": {
+        "coverage_gadaptive_a0.5.csv":
+            "f0f55ddc46157c5fc8f5c65a567485099abc026587333056e1983debf3dba3a1",
+        "coverage_gadaptive_a1.csv":
+            "837043a20031dfb81da5d15181956e816e34847cecf8776de3f49293ff3757b5",
+    },
 }
 
 
@@ -279,6 +293,17 @@ def golden_configs(out):
             experiment="sensitivity", n=100, dim=3, gammas=["0", "0.8"],
             alphas=[0.01, 2.0], batch=20, iters=50, n0=0, reps=3, seed=1,
             offset=10.0, out=str(out / "sensitivity"),
+        ),
+        # odd dof (dim 3) and even dof (dim 2) in the region statistic
+        "coverage": ExperimentConfig(
+            experiment="coverage", n=120, dim=3, gammas=["0.5", "adaptive"],
+            alphas=[0.005], batch=20, iters=200, n0="auto", reps=6, seed=9,
+            out=str(out / "coverage"),
+        ),
+        "coverage-logistic": ExperimentConfig(
+            experiment="coverage", problem="logistic", n=150, dim=2, nu=0.1,
+            gammas=["adaptive"], alphas=[0.5, 1.0], batch=15, iters=150, n0=30,
+            reps=5, seed=3, out=str(out / "coverage-logistic"),
         ),
     }
 
@@ -436,6 +461,12 @@ def test_sensitivity_divergent_cells_use_inf_sentinel(tmp_path):
     assert math.isinf(srows[0]["final_err_mean"])  # 'inf' survives the file
 
 
+def test_z_cut_off_is_the_interval_quantile():
+    # p_abs_z counts |z| below the quantile the intervals are built from, so
+    # the two columns test against one cut-off
+    assert Z_CRIT == normal_quantile(0.975)
+
+
 def test_coverage_small_run_layout(tmp_path):
     cfg = ExperimentConfig(
         experiment="coverage", n=200, dim=4, gammas=["0"], alphas=[0.01],
@@ -510,6 +541,10 @@ def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 0
     assert "spectrum-map: 1 cell(s)" in out
+    # neither theory experiment averages, so neither checks n0 against iters
+    for argv in (["spectrum-map", "--grid", "3"], ["power-bound", "--reps", "2"]):
+        assert main(argv + ["--n0", "300", "--iters", "200", "--out", str(tmp_path / "n0")]) == 0
+    capsys.readouterr()
     rc = main([])
     out = capsys.readouterr().out
     assert rc == 2
@@ -530,6 +565,10 @@ def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
         ["spectrum-map", "--ell", "-1"],
         ["convergence", "--seed", "-1", "--n", "50", "--dim", "2", "--iters", "5",
          "--reps", "1"],
+        # replication 1 would be keyed by 2**64
+        ["convergence", "--seed", str(2**64 - 1), "--reps", "2", "--n", "50",
+         "--dim", "2", "--iters", "5"],
+        ["power-bound", "--seed", str(2**64), "--reps", "2"],
         ["convergence", "--alpha", "inf"],
         ["convergence", "--shift", "0"],
         ["convergence", "--rho", "-5"],
@@ -665,6 +704,38 @@ def test_replication_resolves_gamma_and_inference_once(monkeypatch, tmp_path):
     # covariance and quantile for all four cells
     assert calls == {"adaptive_gamma": 2 * 3, "plug_in_covariance": 3,
                      "chi_square_quantile": 3}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_generation_exits_1_without_traceback(tmp_path, capsys, threads):
+    # near-separable data: the full-batch solver stops short of its tolerance
+    out_dir = tmp_path / "sep"
+    rc = main(["coverage", "--problem", "logistic", "--nu", "0", "--n", "12", "--dim", "10",
+               "--iters", "50", "--reps", "2", "--threads", str(threads),
+               "--out", str(out_dir)])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: full-batch descent did not reach gradient norm"), out
+    # refused at run time, after the configuration was echoed
+    assert (out_dir / "config.json").exists()
+
+
+def test_seed_keys_fill_64_bits(tmp_path):
+    for experiment, seed, reps in [("convergence", 2**64 - 1, 2), ("coverage", 2**63, 2**63 + 1),
+                                   ("power-bound", 2**64, 1)]:
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            ExperimentConfig(experiment=experiment, seed=seed, reps=reps)
+    # the largest keys run, each replication on its own stream
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = run_experiment(tiny_config(tmp_path / "top", seed=2**64 - 4, reps=4))
+        run_experiment(tiny_config(tmp_path / "wrap", seed=0, reps=4))
+        run_experiment(ExperimentConfig(experiment="power-bound", seed=2**64 - 1, reps=3,
+                                        iters=20, out=str(tmp_path / "pb")))
+    _, top = read_csv(str(tmp_path / "top" / "summary.csv"))
+    _, wrap = read_csv(str(tmp_path / "wrap" / "summary.csv"))
+    assert summary.divergent_total == 0
+    assert top[0]["final_err_mean"] != wrap[0]["final_err_mean"]
 
 
 def test_logistic_strong_ridge_runs(tmp_path, capsys):

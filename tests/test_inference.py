@@ -133,20 +133,23 @@ def test_sandwich_is_symmetrized_product_of_inverses():
     p = generate_quadratic(120, 5, 1.0, 10.0, 4)
     cov = plug_in_covariance(p)
     si = np.linalg.inv(p.sigma_hat)
-    want = si @ p.omega @ si
+    want = si @ cov.omega @ si
     assert np.allclose(cov.sandwich, 0.5 * (want + want.T), atol=1e-14)
     # multiplying back recovers the identity when omega is invertible
-    back = cov.sandwich @ p.sigma_hat @ np.linalg.inv(p.omega) @ p.sigma_hat
+    back = cov.sandwich @ p.sigma_hat @ np.linalg.inv(cov.omega) @ p.sigma_hat
     assert np.allclose(back, np.eye(5), atol=1e-8)
 
 
 def test_plug_in_estimation_mode_matches_known_minimizer_mode():
-    p = generate_quadratic(120, 5, 1.0, 10.0, 4)
-    known = plug_in_covariance(p)
-    est = plug_in_covariance(p, at=p.x_star)
-    assert np.allclose(est.sigma_matrix, known.sigma_matrix, atol=1e-14)
-    assert np.allclose(est.omega, known.omega, atol=1e-12)
-    assert abs(est.sigma2 - known.sigma2) <= 1e-12 * known.sigma2
+    # the oracle is the estimate taken at x_star, bit for bit
+    for p in (generate_quadratic(120, 5, 1.0, 10.0, 4),
+              generate_logistic(120, 5, np.ones(5) / math.sqrt(5.0), nu=0.1, seed=4)):
+        known = plug_in_covariance(p)
+        est = plug_in_covariance(p, at=list(p.x_star))
+        assert np.array_equal(est.sigma_matrix, known.sigma_matrix)
+        assert np.array_equal(est.omega, known.omega)
+        assert est.sigma2 == known.sigma2
+        assert np.array_equal(est.sandwich, known.sandwich)
 
 
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
@@ -177,7 +180,7 @@ def test_plug_in_away_from_minimizer_matches_per_sample_loop(family):
     assert (np.linalg.norm(est.sigma_matrix - hess / p.n_samples)
             <= 1e-12 * np.linalg.norm(est.sigma_matrix))
     # away from the minimizer the estimate differs from the oracle's
-    assert est.sigma2 > 1.01 * p.sigma2
+    assert est.sigma2 > 1.01 * plug_in_covariance(p).sigma2
 
 
 def test_inference_is_rotation_equivariant():
@@ -189,9 +192,7 @@ def test_inference_is_rotation_equivariant():
         b_vecs=p.b_vecs @ u.T,
         x_star=u @ p.x_star,
         sigma_hat=u @ p.sigma_hat @ u.T,
-        mu=p.mu, ell=p.ell, sigma2=p.sigma2,
-        omega=u @ p.omega @ u.T,
-        seed=p.seed, rho=p.rho, diag_shift=p.diag_shift,
+        mu=p.mu, ell=p.ell, seed=p.seed, rho=p.rho, diag_shift=p.diag_shift,
     )
     xbar = p.x_star + 0.01 * rng.standard_normal(4)
     w = rng.standard_normal(4)

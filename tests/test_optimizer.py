@@ -48,8 +48,6 @@ def constant_quadratic(dim=3, n=16):
         sigma_hat=a,
         mu=float(ev[0]),
         ell=float(ev[-1]),
-        sigma2=0.0,
-        omega=np.eye(dim) / dim,
         seed=0,
         rho=1.0,
         diag_shift=10.0,

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from sgdmlab import MomentumConfig, RngStream, generate_logistic, generate_quadratic, optimizer, run
+from sgdmlab import (MomentumConfig, RngStream, generate_logistic, generate_quadratic, optimizer,
+                     plug_in_covariance, run)
 from sgdmlab.problems import (
     GenerationError,
     _logistic_gradient,
@@ -287,16 +288,17 @@ def test_gradient_gram_statistics(family):
         p = generate_quadratic(120, 6, rho=1.0, diag_shift=10.0, seed=21)
     else:
         p = generate_logistic(120, 6, np.ones(6) / math.sqrt(6), nu=0.1, seed=21)
-    assert np.allclose(p.omega, p.omega.T, atol=1e-14)
-    assert np.linalg.eigvalsh(p.omega)[0] >= -1e-12
-    assert abs(np.trace(p.omega) - 1.0) <= 1e-12
+    cov = plug_in_covariance(p)
+    assert np.allclose(cov.omega, cov.omega.T, atol=1e-14)
+    assert np.linalg.eigvalsh(cov.omega)[0] >= -1e-12
+    assert abs(np.trace(cov.omega) - 1.0) <= 1e-12
     if family == "quadratic":
         grads = [p.a_mats[i] @ p.x_star - p.b_vecs[i] for i in range(p.n_samples)]
     else:
         grads = [(_sigmoid(a @ p.x_star) - b) * a + p.nu * p.x_star
                  for a, b in zip(p.features, p.labels)]
     mean_sq = np.mean([g @ g for g in grads])
-    assert abs(p.sigma2 - mean_sq) <= 1e-12 * max(1.0, mean_sq)
+    assert abs(cov.sigma2 - mean_sq) <= 1e-12 * max(1.0, mean_sq)
 
 
 # ---------------------------------------------------------------------------

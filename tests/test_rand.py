@@ -1,6 +1,8 @@
 """Seeded random substrate: determinism, stream independence, and the
 distributional quality of the normal and uniform-index draws."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,23 @@ def test_negative_seed_rejected():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(0, stream=-2)
+
+
+def test_keys_of_2_64_or_more_rejected():
+    for seed, stream in [(2**64, 0), (0, 2**64), (2**70, 1)]:
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            RngStream(seed, stream)
+
+
+@pytest.mark.parametrize("seed, other", [(2**64 - 2, 0), (2**63 + 1, 2**63), (2**64 - 1, 2**63)])
+def test_keys_above_2_63_do_not_collide(seed, other):
+    # each key word is a full uint64: none is rounded through float64 onto
+    # another seed's stream, and none warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        high = RngStream(seed, 1).standard_normal(8)
+        assert not np.array_equal(high, RngStream(other, 1).standard_normal(8))
+    assert RngStream(seed, 1).standard_normal(8).tolist() == high.tolist()
 
 
 @settings(max_examples=50, deadline=None)
