@@ -15,9 +15,10 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -274,32 +275,15 @@ def _resolve_n0(cfg: ExperimentConfig, lam: float) -> int:
     return max(cfg.iters // 2, 1)
 
 
-def _fill_record(rec: dict, result) -> None:
-    """Complete a cell's record from its run_cells entry."""
-    if isinstance(result, DivergedError):
-        rec["diverged"] = True
-        rec["diverged_step"] = result.step
-        rec["final_err"] = math.inf
-        rec["best_err"] = math.inf
-        return
-    traj = result[2]
-    rec["steps"] = traj.steps
-    rec["err_last"] = traj.err_last
-    rec["err_avg"] = traj.err_avg
-    rec["final_err"] = float(traj.err_last[-1])
-    rec["best_err"] = float(np.min(traj.err_last))
-    rec["final_err_avg"] = float(traj.err_avg[-1])
-
-
 def _fill_coverage(cfg: ExperimentConfig, problem, alive: list) -> None:
-    """Interval and region statistics of each (record, AveragingState) in
-    `alive`, against the replication's one plug-in covariance."""
+    """Interval and region statistics of each record in `alive`, from its
+    averaged iterate and the replication's one plug-in covariance."""
     cov = plug_in_covariance(problem)
     direction = np.ones(cfg.dim) / math.sqrt(cfg.dim)
     target = float(direction @ problem.x_star)
     chi2 = chi_square_quantile(cfg.dim, 0.05)
-    for rec, avg in alive:
-        xbar, args = avg.mean, (cov, cfg.iters, rec["n0"], cfg.batch)
+    for rec in alive:
+        xbar, args = rec["xbar"], (cov, cfg.iters, rec["n0"], cfg.batch)
         lo, hi = confidence_interval(xbar, direction, *args)
         stat = confidence_region_statistic(xbar, problem.x_star, *args)
         rec["z"] = z_statistic(xbar, problem.x_star, direction, *args)
@@ -315,28 +299,28 @@ def _run_replication(cfg: ExperimentConfig, cells: list, rep: int) -> list:
     stream that all cells step through together (common random numbers)."""
     problem = _make_problem(cfg, rep)
     stream = RngStream(cfg.seed + rep, stream=1)
-    x_init = None
+    x_init = problem.x_star
     if cfg.offset > 0.0:
-        x_init = problem.x_star + cfg.offset * stream.normal_vector(cfg.dim)
-    mcfgs, recs = [], []
-    for tok, alpha in cells:
-        mcfg = _momentum_config(cfg, problem, tok, alpha)
-        report = spectral_radius_closed_form(problem.tuning_spectrum(), mcfg)
-        mcfgs.append(mcfg)
-        recs.append({
-            "rep": rep,
-            "gamma_resolved": mcfg.gamma,
-            "lam": report.lam,
-            "n0": _resolve_n0(cfg, report.lam),
-            "diverged": False,
-        })
-    results = run_cells(
-        problem, mcfgs, cfg.iters, stream, [rec["n0"] for rec in recs],
-        record_stride=max(1, cfg.iters // 1000), x_init=x_init,
-    )
-    for rec, result in zip(recs, results):
-        _fill_record(rec, result)
-    alive = [(rec, result[1]) for rec, result in zip(recs, results) if not rec["diverged"]]
+        x_init = x_init + cfg.offset * stream.normal_vector(cfg.dim)
+    mcfgs = [_momentum_config(cfg, problem, tok, alpha) for tok, alpha in cells]
+    lams = [spectral_radius_closed_form(problem.tuning_spectrum(), m).lam for m in mcfgs]
+    n0s = [_resolve_n0(cfg, lam) for lam in lams]
+    results = run_cells(problem, mcfgs, cfg.iters, stream, n0s,
+                        record_stride=max(1, cfg.iters // 1000), x_init=x_init)
+    recs = []
+    for mcfg, lam, n0, result in zip(mcfgs, lams, n0s, results):
+        rec = {"rep": rep, "gamma_resolved": mcfg.gamma, "lam": lam, "n0": n0,
+               "diverged": isinstance(result, DivergedError)}
+        if rec["diverged"]:
+            rec.update(diverged_step=result.step, final_err=math.inf, best_err=math.inf)
+        else:
+            _, avg, traj = result
+            rec.update(steps=traj.steps, err_last=traj.err_last, err_avg=traj.err_avg,
+                       final_err=float(traj.err_last[-1]),
+                       best_err=float(np.min(traj.err_last)),
+                       final_err_avg=float(traj.err_avg[-1]), xbar=avg.mean)
+        recs.append(rec)
+    alive = [rec for rec in recs if not rec["diverged"]]
     if cfg.experiment == "coverage" and alive:
         _fill_coverage(cfg, problem, alive)
     return recs
@@ -347,13 +331,26 @@ def _run_replication(cfg: ExperimentConfig, cells: list, rep: int) -> list:
 
 def _execute_cells(cfg: ExperimentConfig, cells: list) -> list:
     """Run reps x cells, returning per cell its records ordered by
-    replication index regardless of execution order."""
+    replication index regardless of execution order. In parallel at most
+    `threads` replications run at once, and none starts after one fails."""
     task = partial(_run_replication, cfg, cells)
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            by_rep = list(pool.map(task, range(cfg.reps)))
-    else:
+    if cfg.threads == 1:
         by_rep = list(map(task, range(cfg.reps)))
+    else:
+        todo = iter(range(cfg.reps))
+        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+            futures = [pool.submit(task, rep) for rep in islice(todo, cfg.threads)]
+            running = set(futures)
+            while running:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(future.exception() is not None for future in done):
+                    break
+                started = [pool.submit(task, rep) for rep in islice(todo, len(done))]
+                futures += started
+                running.update(started)
+        # the pool's exit waits for the replications still running; the
+        # first failed one in replication order raises here
+        by_rep = [future.result() for future in futures]
     return [list(recs) for recs in zip(*by_rep)]
 
 
@@ -362,9 +359,17 @@ def _mean(values: list) -> float:
 
 
 def _cell_summary(cfg: ExperimentConfig, gamma_token: str, alpha: float,
-                  recs: list) -> dict:
-    alive = [r for r in recs if not r["diverged"]]
-    row = {
+                  recs: list, alive: list, curve) -> dict:
+    """A cell's summary row; `curve` is the err_last_mean a step CSV holds."""
+    steady = hit = math.nan
+    if alive:
+        steady = float(np.mean(curve[-max(1, curve.size // 4):] ** 2))
+        below = np.flatnonzero(curve <= 2.0 * math.sqrt(steady))
+        hit = int(alive[0]["steps"][below[0]]) if below.size else math.inf
+    covered = cfg.experiment == "coverage" and bool(alive)
+    zs = np.array([r["z"] for r in alive]) if covered else np.empty(0)
+    ks_stat, ks_pass = ks_normality(zs) if zs.size >= 100 else (math.nan, math.nan)
+    return {
         "experiment": cfg.experiment,
         "problem": cfg.problem,
         "gamma": gamma_token,
@@ -382,72 +387,55 @@ def _cell_summary(cfg: ExperimentConfig, gamma_token: str, alpha: float,
         ),
         "best_err_mean": _mean([r["best_err"] for r in alive]),
         "final_err_avg_mean": _mean([r["final_err_avg"] for r in alive]),
-        "steady_mse": math.nan,
-        "iters_to_threshold": math.nan,
-        "coverage": math.nan,
-        "p_abs_z": math.nan,
-        "region_coverage": math.nan,
-        "ks_stat": math.nan,
-        "ks_pass": math.nan,
+        "steady_mse": steady,
+        "iters_to_threshold": hit,
+        "coverage": float(np.mean([r["covered"] for r in alive])) if covered else math.nan,
+        "p_abs_z": float(np.mean(np.abs(zs) < Z_CRIT)) if covered else math.nan,
+        "region_coverage": (
+            float(np.mean([r["region_covered"] for r in alive])) if covered else math.nan
+        ),
+        "ks_stat": ks_stat,
+        "ks_pass": float(ks_pass),
     }
-    if alive:
-        err = np.array([r["err_last"] for r in alive])
-        mean_curve = err.mean(axis=0)
-        tail = mean_curve[-max(1, len(mean_curve) // 4):]
-        row["steady_mse"] = float(np.mean(tail**2))
-        thr = 2.0 * math.sqrt(row["steady_mse"])
-        below = np.nonzero(mean_curve <= thr)[0]
-        steps = np.array(alive[0]["steps"])
-        row["iters_to_threshold"] = (
-            int(steps[below[0]]) if below.size else math.inf
-        )
-    if cfg.experiment == "coverage" and alive:
-        zs = np.array([r["z"] for r in alive])
-        row["coverage"] = float(np.mean([r["covered"] for r in alive]))
-        row["p_abs_z"] = float(np.mean(np.abs(zs) < Z_CRIT))
-        row["region_coverage"] = float(np.mean([r["region_covered"] for r in alive]))
-        if zs.size >= 100:
-            stat, ok = ks_normality(zs)
-            row["ks_stat"] = stat
-            row["ks_pass"] = float(ok)
-    return row
+
+
+# per-cell CSV columns of the experiments that list replications; one without
+# a `diverged` column lists only the live ones (a diverged record holds inf
+# final_err and best_err, and no z); the other experiments list the steps
+_CELL_COLUMNS = {
+    "coverage": ["rep", "gamma_resolved", "z", "ci_lo", "ci_hi", "covered",
+                 "region_stat", "region_covered"],
+    "sensitivity": ["rep", "diverged", "final_err", "best_err"],
+}
+_STEP_COLUMNS = ["step", "err_last_mean", "err_last_median", "err_avg_mean", "err_avg_median"]
 
 
 def _sweep(cfg: ExperimentConfig) -> tuple[list, list]:
     """Run every (gamma, alpha) cell; write its CSV and return the files
     and summary rows."""
     cells = [(tok, alpha) for tok in cfg.gammas for alpha in cfg.alphas]
+    columns = _CELL_COLUMNS.get(cfg.experiment, _STEP_COLUMNS)
     files, summary_rows = [], []
     for (tok, alpha), recs in zip(cells, _execute_cells(cfg, cells)):
         alive = [r for r in recs if not r["diverged"]]
-        header = dict(cfg.header(), gamma=tok, alpha=alpha)
-        name = f"{cfg.experiment}_g{_tag(tok)}_a{_tag(alpha)}.csv"
-        path = os.path.join(cfg.out, name)
-        # a diverged record holds inf final_err and best_err, and no z
-        if cfg.experiment == "coverage":
-            columns = ["rep", "gamma_resolved", "z", "ci_lo", "ci_hi",
-                       "covered", "region_stat", "region_covered"]
-            rows = alive
-        elif cfg.experiment == "sensitivity":
-            columns, rows = ["rep", "diverged", "final_err", "best_err"], recs
-        else:
-            columns = ["step", "err_last_mean", "err_last_median",
-                       "err_avg_mean", "err_avg_median"]
-            rows = []
-            if alive:
-                # (steps, reps), C-contiguous: reducing the last axis sums a
-                # step's replications pairwise, as the 1-D mean of its column
-                # does; axis 0 of (reps, steps) would sum them in sequence,
-                # which differs in the last bits from 8 replications on
-                aggregates = []
-                for key in ("err_last", "err_avg"):
-                    errs = np.array([r[key] for r in alive]).T.copy()
-                    aggregates += [errs.mean(axis=1), np.median(errs, axis=1)]
-                rows = [dict(zip(columns, values))
-                        for values in zip(alive[0]["steps"], *aggregates)]
-        _write_csv(path, header, columns, rows)
+        rows = recs if "diverged" in columns else alive
+        curve = None
+        # (steps, reps), C-contiguous: reducing the last axis sums a step's
+        # replications pairwise, as the 1-D mean of its column does; axis 0
+        # of (reps, steps) would sum them in sequence, which differs in the
+        # last bits from 8 replications on
+        if alive:
+            err_last = np.array([r["err_last"] for r in alive]).T.copy()
+            curve = err_last.mean(axis=1)
+            if columns is _STEP_COLUMNS:
+                err_avg = np.array([r["err_avg"] for r in alive]).T.copy()
+                rows = [dict(zip(columns, values)) for values in zip(
+                    alive[0]["steps"], curve, np.median(err_last, axis=1),
+                    err_avg.mean(axis=1), np.median(err_avg, axis=1))]
+        path = os.path.join(cfg.out, f"{cfg.experiment}_g{_tag(tok)}_a{_tag(alpha)}.csv")
+        _write_csv(path, dict(cfg.header(), gamma=tok, alpha=alpha), columns, rows)
         files.append(path)
-        summary_rows.append(_cell_summary(cfg, tok, alpha, recs))
+        summary_rows.append(_cell_summary(cfg, tok, alpha, recs, alive, curve))
     return files, summary_rows
 
 

@@ -333,18 +333,29 @@ def test_cell_csvs_match_golden_digests(tmp_path, experiment):
     assert got == GOLDEN_CELL_DIGESTS[experiment]
 
 
-@pytest.mark.parametrize("reps", [9, 100])
-def test_step_aggregates_match_per_column_reference(tmp_path, reps):
-    # from 8 replications on, a sequential sum over them and numpy's pairwise
-    # one differ in the last bits, which the golden digests' 3 or 4 cannot
-    # show; alpha 2 diverges in every replication
-    cfg = tiny_config(tmp_path, alphas=[0.005, 2.0], iters=30, reps=reps)
+# the tiny sweep at 9 and 100 replications (from 8 replications on, a
+# sequential sum over them and numpy's pairwise one differ in the last bits,
+# which the golden digests' 3 or 4 cannot show; alpha 2 diverges in every
+# replication), and a sweep whose steady_mse moves by an ulp if the summary
+# sums the replications in sequence
+STEP_AGGREGATE_CASES = {
+    "9": dict(alphas=[0.005, 2.0], iters=30, reps=9),
+    "100": dict(alphas=[0.005, 2.0], iters=30, reps=100),
+    "n800": dict(n=800, dim=10, gammas=["0"], alphas=[0.001], batch=160, iters=400,
+                 reps=12, seed=42),
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_AGGREGATE_CASES))
+def test_step_aggregates_match_per_column_reference(tmp_path, case):
+    cfg = tiny_config(tmp_path, **STEP_AGGREGATE_CASES[case])
     run_experiment(cfg)
+    _, summary = read_csv(os.path.join(cfg.out, "summary.csv"))
     cells = [(tok, alpha) for tok in cfg.gammas for alpha in cfg.alphas]
-    by_rep = [_run_replication(cfg, cells, rep) for rep in range(reps)]
+    by_rep = [_run_replication(cfg, cells, rep) for rep in range(cfg.reps)]
     for ci, (tok, alpha) in enumerate(cells):
         alive = [recs[ci] for recs in by_rep if not recs[ci]["diverged"]]
-        assert len(alive) == (0 if alpha == 2.0 else reps)
+        assert len(alive) == (0 if alpha == 2.0 else cfg.reps)
         _, rows = read_csv(os.path.join(cfg.out, f"convergence_g{_tag(tok)}_a{_tag(alpha)}.csv"))
         assert len(rows) == (0 if alpha == 2.0 else cfg.iters)
         for key in ("err_last", "err_avg"):
@@ -352,6 +363,13 @@ def test_step_aggregates_match_per_column_reference(tmp_path, reps):
             for j, row in enumerate(rows):
                 assert row[f"{key}_mean"] == errs[:, j].mean()
                 assert row[f"{key}_median"] == np.median(errs[:, j])
+        # the summary's curve columns come from the CSV's own mean curve
+        if rows:
+            curve = np.array([row["err_last_mean"] for row in rows])
+            steady = float(np.mean(curve[-max(1, curve.size // 4):] ** 2))
+            below = np.flatnonzero(curve <= 2.0 * math.sqrt(steady))
+            assert summary[ci]["steady_mse"] == steady
+            assert summary[ci]["iters_to_threshold"] == rows[below[0]]["step"]
 
 
 def test_run_convergence_artifacts(tmp_path):
@@ -707,17 +725,47 @@ def test_replication_resolves_gamma_and_inference_once(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_failed_generation_exits_1_without_traceback(tmp_path, capsys, threads):
+def test_failed_generation_exits_1_without_traceback(tmp_path, capsys, monkeypatch, threads):
+    submitted = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
     # near-separable data: the full-batch solver stops short of its tolerance
     out_dir = tmp_path / "sep"
     rc = main(["coverage", "--problem", "logistic", "--nu", "0", "--n", "12", "--dim", "10",
-               "--iters", "50", "--reps", "2", "--threads", str(threads),
+               "--iters", "50", "--reps", "6", "--threads", str(threads),
                "--out", str(out_dir)])
     assert rc == 1
     out = capsys.readouterr().out
     assert out.startswith("error: full-batch descent did not reach gradient norm"), out
     # refused at run time, after the configuration was echoed
     assert (out_dir / "config.json").exists()
+    # every replication fails, so none starts after the first `threads`
+    assert len(submitted) == (0 if threads == 1 else 2)
+
+
+def test_offset_zero_starts_at_the_minimizer(tmp_path, monkeypatch):
+    starts, run_cells = [], harness.run_cells
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs["x_init"])
+        return run_cells(*args, **kwargs)
+
+    cfg = ExperimentConfig(experiment="convergence", n=400, dim=3, gammas=["0"], batch=80,
+                           iters=5, reps=2, offset=0.0, out=str(tmp_path / "zero"))
+    monkeypatch.setattr(harness, "run_cells", spy)
+    run_experiment(cfg)
+    monkeypatch.undo()
+    x_stars = [harness._make_problem(cfg, rep).x_star for rep in range(cfg.reps)]
+    assert len(starts) == 2
+    assert all(np.array_equal(x0, x_star) for x0, x_star in zip(starts, x_stars))
+    # one step from x* moves by alpha times a batch's noise, not by |x*|
+    _, rows = read_csv(os.path.join(cfg.out, "convergence_g0_a0.001.csv"))
+    assert rows[0]["err_last_mean"] < 0.1 * min(np.linalg.norm(x) for x in x_stars)
 
 
 def test_seed_keys_fill_64_bits(tmp_path):
