@@ -309,10 +309,12 @@ def _run_replication(cfg: ExperimentConfig, cells: list, rep: int) -> list:
                         record_stride=max(1, cfg.iters // 1000), x_init=x_init)
     recs = []
     for mcfg, lam, n0, result in zip(mcfgs, lams, n0s, results):
+        diverged = isinstance(result, DivergedError)
+        # steps count from 1, so step 0 marks a replication that finished
         rec = {"rep": rep, "gamma_resolved": mcfg.gamma, "lam": lam, "n0": n0,
-               "diverged": isinstance(result, DivergedError)}
-        if rec["diverged"]:
-            rec.update(diverged_step=result.step, final_err=math.inf, best_err=math.inf)
+               "diverged": diverged, "diverged_step": result.step if diverged else 0}
+        if diverged:
+            rec.update(final_err=math.inf, best_err=math.inf)
         else:
             _, avg, traj = result
             rec.update(steps=traj.steps, err_last=traj.err_last, err_avg=traj.err_avg,
@@ -405,7 +407,7 @@ def _cell_summary(cfg: ExperimentConfig, gamma_token: str, alpha: float,
 _CELL_COLUMNS = {
     "coverage": ["rep", "gamma_resolved", "z", "ci_lo", "ci_hi", "covered",
                  "region_stat", "region_covered"],
-    "sensitivity": ["rep", "diverged", "final_err", "best_err"],
+    "sensitivity": ["rep", "diverged", "final_err", "best_err", "diverged_step"],
 }
 _STEP_COLUMNS = ["step", "err_last_mean", "err_last_median", "err_avg_mean", "err_avg_median"]
 

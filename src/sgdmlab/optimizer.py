@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -140,24 +139,6 @@ def _record_steps(iters: int, stride: int) -> np.ndarray:
     return steps if steps[-1] == iters else np.append(steps, iters)
 
 
-def _batches(rng: RngStream, problem: ProblemInstance, batch: int, iters: int):
-    """Each step's `gather` result, for steps 1..iters in order.
-
-    The indices of up to _INDEX_BLOCK // batch steps come from one draw:
-    numpy fills a bounded int64 draw one value at a time from the bit
-    generator, so one draw of C*B indices holds the values of C draws of B
-    in order and leaves the stream where they would. The steps of a draw
-    are gathered in blocks of at most _GATHER_BLOCK doubles.
-    """
-    per_gather = max(1, _GATHER_BLOCK // (batch * problem._gathered_per_sample))
-    per_block = max(1, _INDEX_BLOCK // batch)
-    for start in range(1, iters + 1, per_block):
-        steps = min(per_block, iters + 1 - start)
-        block = rng.batch_indices(problem.n_samples, batch * steps).reshape(steps, batch)
-        for first in range(0, steps, per_gather):
-            yield from zip(*problem.gather(block[first:first + per_gather]))
-
-
 def run_cells(
     problem: ProblemInstance,
     configs: list,
@@ -180,14 +161,15 @@ def run_cells(
     norm fails `<= blowup` (or is not finite), the running sums (an
     in-order cumsum that folds x_t for t > n0, so the first fold is 0.0 + x)
     and the error of the average at the record steps. So each cell is
-    bit-identical to a `run` of it alone. The indices are drawn and
-    gathered in blocks of steps (`_batches`) with the values and order of
-    per-step draws and gathers; once every cell has diverged, the stream
-    may sit past the last index used, up to the end of the index block that
-    holds that step block's last step.
+    bit-identical to a `run` of it alone. A block's indices are one draw,
+    gathered in slices, with the values and order of per-step draws and
+    gathers. A finished call leaves the stream after iters*B indices; once
+    every cell has diverged, it sits at the end of the step block in which
+    the last one did.
 
-    Returns per configuration (OptimizerState, AveragingState, Trajectory),
-    or the DivergedError of a cell whose error norm stopped being finite or
+    Returns per configuration (OptimizerState, whose config holds the
+    resolved gamma as FIXED, AveragingState, Trajectory), or the
+    DivergedError of a cell whose error norm stopped being finite or
     exceeded `blowup`; a diverged cell leaves the stack at the end of that
     step block with the step it failed at, and the others go on.
     """
@@ -212,7 +194,8 @@ def run_cells(
     x0 = np.array(x_init, dtype=float) if x_init is not None else np.zeros(problem.dim)
     if x0.shape != (problem.dim,):
         raise ValueError("x_init must have shape (dim,)")
-    configs = [replace(cfg, gamma=resolve_gamma(problem, cfg)) for cfg in configs]
+    configs = [replace(cfg, gamma=resolve_gamma(problem, cfg), gamma_mode=GammaMode.FIXED)
+               for cfg in configs]
     cells, dim = len(configs), problem.dim
     results: list = [None] * cells
     # row i of every stack below is cell live[i]; (K, d) coefficient arrays
@@ -228,10 +211,11 @@ def run_cells(
     err_last = np.empty((cells, steps.size))
     err_avg = np.empty_like(err_last)
     recorded = 0
-    per_block = max(1, _STEP_BLOCK // (cells * dim))
+    batch = configs[0].batch_size
+    per_block = max(1, min(_STEP_BLOCK // (cells * dim), _INDEX_BLOCK // batch))
+    per_gather = max(1, _GATHER_BLOCK // (batch * problem._gathered_per_sample))
     block = np.empty((per_block, cells, dim))
     rng = seed if isinstance(seed, RngStream) else RngStream(int(seed))
-    batches = _batches(rng, problem, configs[0].batch_size, iters)
     x_star = problem.x_star
 
     # no finiteness check on the gradient: a non-finite one makes x, and so
@@ -242,10 +226,14 @@ def run_cells(
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, iters + 1, per_block):
             size = min(per_block, iters + 1 - first)
-            for j, data in enumerate(islice(batches, size)):
-                g = problem.batch_gradient(data, x)
-                x, m = _momentum_update(x, m, gamma, alpha, g)
-                block[j] = x
+            # numpy fills a bounded int64 draw one value at a time, so one
+            # draw of size*B indices equals `size` draws of B, in order
+            idx = rng.batch_indices(problem.n_samples, batch * size).reshape(size, batch)
+            for lo in range(0, size, per_gather):
+                for j, data in enumerate(zip(*problem.gather(idx[lo:lo + per_gather])), lo):
+                    g = problem.batch_gradient(data, x)
+                    x, m = _momentum_update(x, m, gamma, alpha, g)
+                    block[j] = x
             xs = block[:size]
             err = _row_norms(xs - x_star)
             t = np.arange(first, first + size)

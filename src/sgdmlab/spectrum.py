@@ -123,6 +123,15 @@ class SpectralReport:
     gamma_threshold: float
 
 
+def _fixed_gamma(config: MomentumConfig) -> float:
+    """The config's gamma; an adaptive one has none until a problem's mu
+    resolves it, so it is refused rather than read as its placeholder."""
+    if config.gamma_mode is GammaMode.ADAPTIVE:
+        raise ValueError("an adaptive config has no gamma of its own: resolve it with "
+                         "optimizer.resolve_gamma(problem, config) and pass a FIXED config")
+    return config.gamma
+
+
 def build_gamma_matrix(spectrum_or_hessian, config: MomentumConfig) -> np.ndarray:
     """The 2d x 2d linear map of the (momentum, error) pair.
 
@@ -136,7 +145,7 @@ def build_gamma_matrix(spectrum_or_hessian, config: MomentumConfig) -> np.ndarra
         S = np.asarray(spectrum_or_hessian, dtype=float)
         HessianSpectrum.from_matrix(S)  # validates symmetry and positive definiteness
     d = S.shape[0]
-    a, g = config.alpha, config.gamma
+    a, g = config.alpha, _fixed_gamma(config)
     eye = np.eye(d)
     return np.block([[g * eye, (1 - g) * S], [-a * g * eye, eye - a * (1 - g) * S]])
 
@@ -204,7 +213,7 @@ def spectral_radius_closed_form(
     radius (>= 1) comes with admissible=False, so sensitivity sweeps can
     chart divergence.
     """
-    report = spectral_report_arrays(spectrum, config.alpha, config.gamma)
+    report = spectral_report_arrays(spectrum, config.alpha, _fixed_gamma(config))
     return SpectralReport(**{k: v.item() for k, v in report.items()})
 
 

@@ -14,16 +14,19 @@ import numpy as np
 import pytest
 
 from sgdmlab import (
+    DivergedError,
     ExperimentConfig,
     GENERATOR_NAME,
     HessianSpectrum,
     MomentumConfig,
+    RngStream,
     choose_burn_in,
     main,
     normal_quantile,
     numeric_spectral_radius,
     parse_config,
     read_csv,
+    run_cells,
     run_experiment,
 )
 from sgdmlab import harness
@@ -262,13 +265,13 @@ GOLDEN_CELL_DIGESTS = {
     },
     "sensitivity": {
         "sensitivity_g0.8_a0.01.csv":
-            "82e05fb82d656c903c6dc230afeae8e62d743f3788a44a2a31b6abd9a0ac8418",
+            "78b2761071b40481965b3094346004c638825d66e614eee69643d70e93a7bcfb",
         "sensitivity_g0.8_a2.csv":
-            "4c18e670fe2c2d2fb74c5b45a6830b7fc8541bebbfdc7fad3e1b394dae10f349",
+            "8a540b78151b37802d8e428e80fcf909b99d9f4078b2115867ed05b6a51396e2",
         "sensitivity_g0_a0.01.csv":
-            "44e91efdf88b75cf709c1d56272b83095f214575390323959a79fb738e9f1cfe",
+            "b83f13a6d10090249bccd6c5b0f51777fb823fad2087334712746fccba9135d7",
         "sensitivity_g0_a2.csv":
-            "7192056f6a226986861204f72a5c79f8d03de12abbaad840174109b85c74fbbd",
+            "669cedeef6a16776411dbb51eab273bda918f3f8d6b6510560232eb165801a0c",
     },
     "coverage": {
         "coverage_g0.5_a0.005.csv":
@@ -477,6 +480,35 @@ def test_sensitivity_divergent_cells_use_inf_sentinel(tmp_path):
     assert all(math.isinf(r["final_err"]) for r in rows)
     _, srows = read_csv(os.path.join(cfg.out, "summary.csv"))
     assert math.isinf(srows[0]["final_err_mean"])  # 'inf' survives the file
+
+
+def test_sensitivity_diverged_step_is_the_engine_step(tmp_path):
+    # each replication's diverged_step is the step of the DivergedError that
+    # a direct run_cells call on its problem, stream and start raises, and 0
+    # for a replication that finished; the cells diverge at steps 8 to 23
+    cfg = ExperimentConfig(
+        experiment="sensitivity", n=100, dim=3, gammas=["0", "0.8"], alphas=[0.01, 0.5, 2.0],
+        batch=20, iters=50, n0=0, reps=3, seed=1, offset=10.0, out=str(tmp_path / "sens"),
+    )
+    run_experiment(cfg)
+    cells = [(tok, alpha) for tok in cfg.gammas for alpha in cfg.alphas]
+    want = {cell: [] for cell in cells}
+    for rep in range(cfg.reps):
+        problem = harness._make_problem(cfg, rep)
+        stream = RngStream(cfg.seed + rep, stream=1)
+        x0 = problem.x_star + cfg.offset * stream.normal_vector(cfg.dim)
+        configs = [MomentumConfig(alpha=alpha, gamma=float(tok), batch_size=cfg.batch)
+                   for tok, alpha in cells]
+        results = run_cells(problem, configs, cfg.iters, stream, [0] * len(cells), x_init=x0)
+        for cell, result in zip(cells, results):
+            want[cell].append(result.step if isinstance(result, DivergedError) else 0)
+    steps = set()
+    for tok, alpha in cells:
+        _, rows = read_csv(os.path.join(cfg.out, f"sensitivity_g{_tag(tok)}_a{_tag(alpha)}.csv"))
+        assert [r["diverged_step"] for r in rows] == want[(tok, alpha)]
+        assert [r["diverged"] for r in rows] == [int(s > 0) for s in want[(tok, alpha)]]
+        steps.update(want[(tok, alpha)])
+    assert 0 in steps and len(steps) > 4
 
 
 def test_z_cut_off_is_the_interval_quantile():

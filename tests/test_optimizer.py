@@ -428,6 +428,51 @@ def test_run_cells_all_cells_diverge(monkeypatch):
     assert steps == [6, 9, 11, 12, 48]
 
 
+def assert_stream_at(rng, seed, n_samples, used):
+    """rng draws next what a fresh RngStream(seed) draws after skipping
+    `used` indices."""
+    fresh = RngStream(seed)
+    fresh.batch_indices(n_samples, used)
+    assert np.array_equal(rng.batch_indices(n_samples, 64), fresh.batch_indices(n_samples, 64))
+
+
+def test_run_cells_leaves_the_stream_after_its_last_step_block(monkeypatch):
+    # blocks of 5 steps: a finished call leaves the stream after iters*B
+    # indices; once every cell has diverged (the last at step 48), at the
+    # end of that step block, step 50
+    configs = [MomentumConfig(alpha=alpha, gamma=0.0, batch_size=8)
+               for alpha in (10.0, 2.0, 1.2, 0.9, 0.2)]
+    monkeypatch.setattr(optimizer, "_STEP_BLOCK", 5 * len(configs) * 4)
+    p = generate_quadratic(60, 4, 1.0, 10.0, 6)
+    x0 = p.x_star + np.array([1.0, -0.5, 0.3, 0.8])
+    rng = RngStream(7)
+    run_cells(p, [MomentumConfig(alpha=0.02, gamma=0.6, batch_size=8)] * 5, iters=23,
+              seed=rng, n0s=[0] * 5, x_init=x0)
+    assert_stream_at(rng, 7, 60, 23 * 8)
+    rng = RngStream(7)
+    results = run_cells(p, configs, iters=400, seed=rng, n0s=[0, 0, 5, 0, 30], x_init=x0)
+    assert max(err.step for err in results) == 48
+    assert_stream_at(rng, 7, 60, 50 * 8)
+
+
+def test_run_cells_returns_the_resolved_configs():
+    # a returned config holds the gamma the cell ran with, as FIXED: passed
+    # straight back in it reruns the cell, and the spectral layer takes it
+    p = generate_quadratic(60, 4, 1.0, 10.0, 6)
+    x0 = p.x_star + np.array([1.0, -0.5, 0.3, 0.8])
+    adaptive = MomentumConfig(alpha=0.02, gamma_mode=GammaMode.ADAPTIVE, batch_size=8)
+    ((state, avg, traj),) = run_cells(p, [adaptive], iters=30, seed=7, n0s=[5], x_init=x0)
+    gamma = adaptive_gamma(p.mu, 0.02)
+    assert state.config == MomentumConfig(alpha=0.02, gamma=gamma, batch_size=8)
+    ((again, avg2, traj2),) = run_cells(p, [state.config], iters=30, seed=7, n0s=[5],
+                                        x_init=x0)
+    assert again.config == state.config
+    assert np.array_equal(again.x, state.x) and np.array_equal(avg2.sum, avg.sum)
+    np.testing.assert_array_equal(traj2.err_avg, traj.err_avg)
+    rep = spectral_radius_closed_form(p.tuning_spectrum(), state.config)
+    assert rep.lam == pytest.approx(math.sqrt(gamma))
+
+
 def test_run_cells_validates_arguments():
     p = generate_quadratic(40, 3, 1.0, 10.0, 8)
     small = MomentumConfig(alpha=0.01, batch_size=4)

@@ -90,6 +90,18 @@ def test_gamma_matrix_rejects_bad_hessian():
         build_gamma_matrix(not_pd, MomentumConfig(alpha=0.1))
 
 
+def test_spectral_layer_refuses_an_adaptive_config():
+    # an adaptive config's gamma field holds a placeholder 0.0: read as it
+    # is, the radius would be plain SGD's 0.9, not the adaptive 0.818...
+    spec = HessianSpectrum.from_extremes(1, 5)
+    adaptive = MomentumConfig(alpha=0.1, gamma_mode=GammaMode.ADAPTIVE)
+    for fn in (spectral_radius_closed_form, build_gamma_matrix, numeric_spectral_radius):
+        with pytest.raises(ValueError, match="resolve_gamma"):
+            fn(spec, adaptive)
+    resolved = MomentumConfig(alpha=0.1, gamma=adaptive_gamma(1.0, 0.1))
+    assert spectral_radius_closed_form(spec, resolved).lam == pytest.approx(0.9 / 1.1)
+
+
 def test_matrix_and_spectrum_forms_share_radius():
     rng = np.random.default_rng(3)
     kappas = np.array([0.5, 1.0, 2.5])
