@@ -88,6 +88,36 @@ def _check_gamma(token: str) -> None:
         raise ValueError("gamma must lie in [0,1)")
 
 
+@dataclass(frozen=True)
+class _Cell:
+    """One (gamma token, alpha) point of a sweep's grid, written to f"{experiment}_{tag}.csv"."""
+
+    gamma: str
+    alpha: float
+
+    @property
+    def tag(self) -> str:
+        return f"g{_tag(self.gamma)}_a{_tag(self.alpha)}"
+
+    def resolve(self, cfg: ExperimentConfig, problem) -> tuple[MomentumConfig, float, int]:
+        """The cell on a replication's problem: (configuration, tuning radius lam, burn-in n0)."""
+        gamma = adaptive_gamma(problem.mu, self.alpha) if self.gamma == "adaptive" else float(self.gamma)
+        mcfg = MomentumConfig(alpha=self.alpha, gamma=gamma, batch_size=cfg.batch)
+        lam = spectral_radius_closed_form(problem.tuning_spectrum(), mcfg).lam
+        if cfg.n0 != "auto":
+            return mcfg, lam, int(cfg.n0)
+        half = max(cfg.iters // 2, 1)
+        return mcfg, lam, min(choose_burn_in(lam, cfg.batch), half) if 0.0 < lam < 1.0 else half
+
+
+def _grid(cfg: ExperimentConfig) -> list:
+    """The sweep's cells, gamma-major; two that would write one file are refused."""
+    cells = [_Cell(g, a) for g in cfg.gammas for a in cfg.alphas]
+    if len({cell.tag for cell in cells}) < len(cells):
+        raise ValueError("two (gamma, alpha) cells would write one file: give distinct values")
+    return cells
+
+
 @dataclass
 class ExperimentConfig:
     """Fully resolved experiment description (defaults and file values
@@ -149,10 +179,7 @@ class ExperimentConfig:
                 raise ValueError("alpha values must be positive and finite")
         for g in self.gammas:
             _check_gamma(g)
-        names = [(_tag(g), _tag(a)) for g in self.gammas for a in self.alphas]
-        if len(set(names)) < len(names):
-            raise ValueError("two (gamma, alpha) cells would write one file: "
-                             "give distinct gamma and alpha values")
+        _grid(self)
         if self.n0 != "auto" and not 0 <= int(self.n0):
             raise ValueError("n0 must be 'auto' or a nonnegative integer")
         if sweep and self.n0 != "auto" and int(self.n0) >= self.iters:
@@ -168,8 +195,8 @@ class ExperimentConfig:
             if not 0.0 <= getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be nonnegative and finite")
         # the spectrum map checks its grid here, not per point
-        if not (0.0 < self.mu < math.inf and 0.0 < self.ell < math.inf):
-            raise ValueError("mu and ell must be positive and finite")
+        if not 0.0 < self.mu <= self.ell < math.inf:
+            raise ValueError("mu and ell must be positive and finite with mu <= ell")
         if self.grid < 1:
             raise ValueError("grid must be >= 1")
         if not all(0.0 <= a < math.inf for a in self.alpha_range):
@@ -260,21 +287,6 @@ def _make_problem(cfg: ExperimentConfig, rep: int):
     return generate_logistic(cfg.n, cfg.dim, x_true, cfg.nu, seed)
 
 
-def _momentum_config(cfg: ExperimentConfig, problem, gamma_token: str,
-                     alpha: float) -> MomentumConfig:
-    """A cell's configuration, an adaptive gamma resolved on `problem`."""
-    gamma = adaptive_gamma(problem.mu, alpha) if gamma_token == "adaptive" else float(gamma_token)
-    return MomentumConfig(alpha=alpha, gamma=gamma, batch_size=cfg.batch)
-
-
-def _resolve_n0(cfg: ExperimentConfig, lam: float) -> int:
-    if cfg.n0 != "auto":
-        return int(cfg.n0)
-    if 0.0 < lam < 1.0:
-        return min(choose_burn_in(lam, cfg.batch), max(cfg.iters // 2, 1))
-    return max(cfg.iters // 2, 1)
-
-
 def _fill_coverage(cfg: ExperimentConfig, problem, alive: list) -> None:
     """Interval and region statistics of each record in `alive`, from its
     averaged iterate and the replication's one plug-in covariance."""
@@ -294,7 +306,7 @@ def _fill_coverage(cfg: ExperimentConfig, problem, alive: list) -> None:
         rec["region_covered"] = bool(stat <= chi2)
 
 
-def _run_replication(cfg: ExperimentConfig, cells: list, rep: int) -> list:
+def _run_replication(cfg: ExperimentConfig, rep: int) -> list:
     """Replication `rep` of every cell: one generated problem, and one batch
     stream that all cells step through together (common random numbers)."""
     problem = _make_problem(cfg, rep)
@@ -302,9 +314,7 @@ def _run_replication(cfg: ExperimentConfig, cells: list, rep: int) -> list:
     x_init = problem.x_star
     if cfg.offset > 0.0:
         x_init = x_init + cfg.offset * stream.normal_vector(cfg.dim)
-    mcfgs = [_momentum_config(cfg, problem, tok, alpha) for tok, alpha in cells]
-    lams = [spectral_radius_closed_form(problem.tuning_spectrum(), m).lam for m in mcfgs]
-    n0s = [_resolve_n0(cfg, lam) for lam in lams]
+    mcfgs, lams, n0s = zip(*(cell.resolve(cfg, problem) for cell in _grid(cfg)))
     results = run_cells(problem, mcfgs, cfg.iters, stream, n0s,
                         record_stride=max(1, cfg.iters // 1000), x_init=x_init)
     recs = []
@@ -331,11 +341,11 @@ def _run_replication(cfg: ExperimentConfig, cells: list, rep: int) -> list:
 # ---------------------------------------------------------------------------
 # sweep execution and aggregation
 
-def _execute_cells(cfg: ExperimentConfig, cells: list) -> list:
+def _execute_cells(cfg: ExperimentConfig) -> list:
     """Run reps x cells, returning per cell its records ordered by
     replication index regardless of execution order. In parallel at most
     `threads` replications run at once, and none starts after one fails."""
-    task = partial(_run_replication, cfg, cells)
+    task = partial(_run_replication, cfg)
     if cfg.threads == 1:
         by_rep = list(map(task, range(cfg.reps)))
     else:
@@ -360,8 +370,7 @@ def _mean(values: list) -> float:
     return float(np.mean(values)) if values else math.inf
 
 
-def _cell_summary(cfg: ExperimentConfig, gamma_token: str, alpha: float,
-                  recs: list, alive: list, curve) -> dict:
+def _cell_summary(cfg: ExperimentConfig, cell: _Cell, recs: list, alive: list, curve) -> dict:
     """A cell's summary row; `curve` is the err_last_mean a step CSV holds."""
     steady = hit = math.nan
     if alive:
@@ -374,8 +383,7 @@ def _cell_summary(cfg: ExperimentConfig, gamma_token: str, alpha: float,
     return {
         "experiment": cfg.experiment,
         "problem": cfg.problem,
-        "gamma": gamma_token,
-        "alpha": alpha,
+        **asdict(cell),
         "batch": cfg.batch,
         "iters": cfg.iters,
         "n0": recs[0]["n0"],
@@ -413,12 +421,10 @@ _STEP_COLUMNS = ["step", "err_last_mean", "err_last_median", "err_avg_mean", "er
 
 
 def _sweep(cfg: ExperimentConfig) -> tuple[list, list]:
-    """Run every (gamma, alpha) cell; write its CSV and return the files
-    and summary rows."""
-    cells = [(tok, alpha) for tok in cfg.gammas for alpha in cfg.alphas]
+    """Run every cell of the grid; write its CSV and return the files and summary rows."""
     columns = _CELL_COLUMNS.get(cfg.experiment, _STEP_COLUMNS)
     files, summary_rows = [], []
-    for (tok, alpha), recs in zip(cells, _execute_cells(cfg, cells)):
+    for cell, recs in zip(_grid(cfg), _execute_cells(cfg)):
         alive = [r for r in recs if not r["diverged"]]
         rows = recs if "diverged" in columns else alive
         curve = None
@@ -434,10 +440,10 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list, list]:
                 rows = [dict(zip(columns, values)) for values in zip(
                     alive[0]["steps"], curve, np.median(err_last, axis=1),
                     err_avg.mean(axis=1), np.median(err_avg, axis=1))]
-        path = os.path.join(cfg.out, f"{cfg.experiment}_g{_tag(tok)}_a{_tag(alpha)}.csv")
-        _write_csv(path, dict(cfg.header(), gamma=tok, alpha=alpha), columns, rows)
+        path = os.path.join(cfg.out, f"{cfg.experiment}_{cell.tag}.csv")
+        _write_csv(path, dict(cfg.header(), **asdict(cell)), columns, rows)
         files.append(path)
-        summary_rows.append(_cell_summary(cfg, tok, alpha, recs, alive, curve))
+        summary_rows.append(_cell_summary(cfg, cell, recs, alive, curve))
     return files, summary_rows
 
 

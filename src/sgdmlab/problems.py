@@ -233,20 +233,15 @@ def _logistic_hessian(features, nu, x) -> np.ndarray:
     return (features * w[:, None]).T @ features / features.shape[0] + nu * np.eye(features.shape[1])
 
 
-def _resolve_stream(seed) -> tuple[RngStream, int]:
-    if isinstance(seed, RngStream):
-        return seed, seed.seed
-    return RngStream(int(seed)), int(seed)
-
-
 def generate_quadratic(
-    n_samples: int, dim: int, rho: float, diag_shift: float, seed
+    n_samples: int, dim: int, rho: float, diag_shift: float, seed: int
 ) -> QuadraticProblem:
     """Random quadratic family A_i = rho V_i'V_i + diag_shift I, b_i ~ N(0, I).
 
     Rows of each V_i are standard normal d-vectors. The minimizer solves
     sum(A_i) x = sum(b_i). mu/ell are the means over i of the extreme
-    eigenvalues of A_i.
+    eigenvalues of A_i. An instance whose sums overflow (rho or diag_shift
+    near the float range) is refused.
     """
     if n_samples < dim:
         raise ValueError("n_samples must be >= dim")
@@ -254,21 +249,31 @@ def generate_quadratic(
         raise ValueError("diag_shift must be positive and finite")
     if not 0.0 <= rho < math.inf:
         raise ValueError("rho must be >= 0 and finite")
-    stream, seed_val = _resolve_stream(seed)
+    stream = RngStream(seed)
     v = stream.standard_normal((n_samples, dim, dim))
-    a_mats = rho * np.einsum("nij,nik->njk", v, v) + diag_shift * np.eye(dim)
-    b_vecs = stream.standard_normal((n_samples, dim))
-    # diag_shift > 0 makes the mean Hessian nonsingular
-    x_star = np.linalg.solve(a_mats.sum(axis=0), b_vecs.sum(axis=0))
-    per_sample_ev = np.linalg.eigvalsh(a_mats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_mats = rho * np.einsum("nij,nik->njk", v, v) + diag_shift * np.eye(dim)
+        b_vecs = stream.standard_normal((n_samples, dim))
+        # diag_shift > 0 makes the mean Hessian nonsingular
+        x_star = np.linalg.solve(a_mats.sum(axis=0), b_vecs.sum(axis=0))
+        sigma_hat = a_mats.mean(axis=0)
+        # eigvalsh may refuse a non-finite matrix; such a_mats is refused first
+        per_sample_ev = (np.linalg.eigvalsh(a_mats) if np.isfinite(a_mats).all()
+                         else np.full((1, dim), math.nan))
+        mu, ell = float(per_sample_ev[:, 0].mean()), float(per_sample_ev[:, -1].mean())
+    for name, value in (("a_mats", a_mats), ("x_star", x_star), ("sigma_hat", sigma_hat),
+                        ("mu", mu), ("ell", ell)):
+        if not np.isfinite(value).all():
+            raise GenerationError(f"quadratic instance's {name} is not finite "
+                                  "(rho or shift too large)")
     return QuadraticProblem(
         a_mats=a_mats,
         b_vecs=b_vecs,
         x_star=x_star,
-        sigma_hat=a_mats.mean(axis=0),
-        mu=float(per_sample_ev[:, 0].mean()),
-        ell=float(per_sample_ev[:, -1].mean()),
-        seed=seed_val,
+        sigma_hat=sigma_hat,
+        mu=mu,
+        ell=ell,
+        seed=stream.seed,
         rho=float(rho),
         diag_shift=float(diag_shift),
     )
@@ -304,7 +309,7 @@ def _minimize_full_batch(features, labels, nu, tol=1e-10, max_iters=100_000):
 
 
 def generate_logistic(
-    n_samples: int, dim: int, x_true: np.ndarray, nu: float, seed
+    n_samples: int, dim: int, x_true: np.ndarray, nu: float, seed: int
 ) -> LogisticProblem:
     """Logistic family: a_i ~ N(0, I), labels Bernoulli(sigmoid(x_true'a_i)).
 
@@ -319,7 +324,7 @@ def generate_logistic(
     x_true = np.asarray(x_true, dtype=float)
     if x_true.shape != (dim,):
         raise ValueError("x_true must have shape (dim,)")
-    stream, seed_val = _resolve_stream(seed)
+    stream = RngStream(seed)
     features = stream.standard_normal((n_samples, dim))
     labels = stream.bernoulli(_sigmoid(features @ x_true))
     x_star, _ = _minimize_full_batch(features, labels, nu)
@@ -341,5 +346,5 @@ def generate_logistic(
         ell=float(ev[-1]),
         lbar=float(math.sqrt(3.0) / 6.0 * np.mean(norms**3) + nu),
         lf=float(np.mean(norms**2) + nu),
-        seed=seed_val,
+        seed=stream.seed,
     )

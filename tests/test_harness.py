@@ -30,7 +30,7 @@ from sgdmlab import (
     run_experiment,
 )
 from sgdmlab import harness
-from sgdmlab.harness import Z_CRIT, _run_replication, _tag
+from sgdmlab.harness import Z_CRIT, _grid, _run_replication, _tag
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +354,12 @@ def test_step_aggregates_match_per_column_reference(tmp_path, case):
     cfg = tiny_config(tmp_path, **STEP_AGGREGATE_CASES[case])
     run_experiment(cfg)
     _, summary = read_csv(os.path.join(cfg.out, "summary.csv"))
-    cells = [(tok, alpha) for tok in cfg.gammas for alpha in cfg.alphas]
-    by_rep = [_run_replication(cfg, cells, rep) for rep in range(cfg.reps)]
-    for ci, (tok, alpha) in enumerate(cells):
+    by_rep = [_run_replication(cfg, rep) for rep in range(cfg.reps)]
+    for ci, cell in enumerate(_grid(cfg)):
         alive = [recs[ci] for recs in by_rep if not recs[ci]["diverged"]]
-        assert len(alive) == (0 if alpha == 2.0 else cfg.reps)
-        _, rows = read_csv(os.path.join(cfg.out, f"convergence_g{_tag(tok)}_a{_tag(alpha)}.csv"))
-        assert len(rows) == (0 if alpha == 2.0 else cfg.iters)
+        assert len(alive) == (0 if cell.alpha == 2.0 else cfg.reps)
+        _, rows = read_csv(os.path.join(cfg.out, f"convergence_{cell.tag}.csv"))
+        assert len(rows) == (0 if cell.alpha == 2.0 else cfg.iters)
         for key in ("err_last", "err_avg"):
             errs = np.array([r[key] for r in alive])
             for j, row in enumerate(rows):
@@ -491,23 +490,23 @@ def test_sensitivity_diverged_step_is_the_engine_step(tmp_path):
         batch=20, iters=50, n0=0, reps=3, seed=1, offset=10.0, out=str(tmp_path / "sens"),
     )
     run_experiment(cfg)
-    cells = [(tok, alpha) for tok in cfg.gammas for alpha in cfg.alphas]
+    cells = _grid(cfg)
     want = {cell: [] for cell in cells}
     for rep in range(cfg.reps):
         problem = harness._make_problem(cfg, rep)
         stream = RngStream(cfg.seed + rep, stream=1)
         x0 = problem.x_star + cfg.offset * stream.normal_vector(cfg.dim)
-        configs = [MomentumConfig(alpha=alpha, gamma=float(tok), batch_size=cfg.batch)
-                   for tok, alpha in cells]
+        configs = [MomentumConfig(alpha=cell.alpha, gamma=float(cell.gamma), batch_size=cfg.batch)
+                   for cell in cells]
         results = run_cells(problem, configs, cfg.iters, stream, [0] * len(cells), x_init=x0)
         for cell, result in zip(cells, results):
             want[cell].append(result.step if isinstance(result, DivergedError) else 0)
     steps = set()
-    for tok, alpha in cells:
-        _, rows = read_csv(os.path.join(cfg.out, f"sensitivity_g{_tag(tok)}_a{_tag(alpha)}.csv"))
-        assert [r["diverged_step"] for r in rows] == want[(tok, alpha)]
-        assert [r["diverged"] for r in rows] == [int(s > 0) for s in want[(tok, alpha)]]
-        steps.update(want[(tok, alpha)])
+    for cell in cells:
+        _, rows = read_csv(os.path.join(cfg.out, f"sensitivity_{cell.tag}.csv"))
+        assert [r["diverged_step"] for r in rows] == want[cell]
+        assert [r["diverged"] for r in rows] == [int(s > 0) for s in want[cell]]
+        steps.update(want[cell])
     assert 0 in steps and len(steps) > 4
 
 
@@ -613,6 +612,8 @@ def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
         ["spectrum-map", "--grid", "0"],
         ["spectrum-map", "--mu", "0"],
         ["spectrum-map", "--ell", "-1"],
+        # from_extremes would sort them, and the files would say mu=5.0, ell=1.0
+        ["spectrum-map", "--grid", "10", "--mu", "5", "--ell", "1"],
         ["convergence", "--seed", "-1", "--n", "50", "--dim", "2", "--iters", "5",
          "--reps", "1"],
         # replication 1 would be keyed by 2**64
@@ -766,18 +767,24 @@ def test_failed_generation_exits_1_without_traceback(tmp_path, capsys, monkeypat
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-    # near-separable data: the full-batch solver stops short of its tolerance
-    out_dir = tmp_path / "sep"
-    rc = main(["coverage", "--problem", "logistic", "--nu", "0", "--n", "12", "--dim", "10",
-               "--iters", "50", "--reps", "6", "--threads", str(threads),
-               "--out", str(out_dir)])
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert out.startswith("error: full-batch descent did not reach gradient norm"), out
-    # refused at run time, after the configuration was echoed
-    assert (out_dir / "config.json").exists()
-    # every replication fails, so none starts after the first `threads`
-    assert len(submitted) == (0 if threads == 1 else 2)
+    for i, (argv, message) in enumerate([
+        # near-separable data: the full-batch solver stops short of its tolerance
+        (["coverage", "--problem", "logistic", "--nu", "0", "--n", "12", "--dim", "10",
+          "--iters", "50"], "error: full-batch descent did not reach gradient norm"),
+        # the sum of 50 diagonals of 1e307 behind the mean Hessian overflows
+        (["convergence", "--n", "50", "--dim", "2", "--iters", "20", "--shift", "1e307"],
+         "error: quadratic instance's sigma_hat is not finite"),
+    ]):
+        submitted.clear()
+        out_dir = tmp_path / f"failed{i}"
+        rc = main(argv + ["--reps", "6", "--threads", str(threads), "--out", str(out_dir)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.startswith(message), out
+        # refused at run time, after the configuration was echoed
+        assert (out_dir / "config.json").exists()
+        # every replication fails, so none starts after the first `threads`
+        assert len(submitted) == (0 if threads == 1 else 2)
 
 
 def test_offset_zero_starts_at_the_minimizer(tmp_path, monkeypatch):

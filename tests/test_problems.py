@@ -3,6 +3,7 @@ noise statistics, the full-batch logistic solver."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -317,13 +318,6 @@ def test_same_seed_regenerates_identically():
     assert np.array_equal(la.x_star, lb.x_star)
 
 
-def test_stream_seed_equivalent_to_int_seed():
-    a = generate_quadratic(15, 3, rho=1.0, diag_shift=10.0, seed=5)
-    b = generate_quadratic(15, 3, rho=1.0, diag_shift=10.0, seed=RngStream(5))
-    assert np.array_equal(a.a_mats, b.a_mats)
-    assert a.seed == b.seed == 5
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -338,6 +332,18 @@ def test_generation_rejects_bad_arguments():
     for nu in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             generate_logistic(10, 3, np.ones(3), nu=nu, seed=0)
+
+
+def test_overflowing_quadratic_is_refused():
+    # curvatures near the float range: A_i itself overflows at rho 1e308,
+    # and the sum over 50 samples behind sigma_hat and x_star at the others;
+    # the instance is refused without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho, shift, name in [(1e308, 10.0, "a_mats"), (3e306, 10.0, "sigma_hat"),
+                                 (1.0, 1e307, "sigma_hat")]:
+            with pytest.raises(GenerationError, match=name):
+                generate_quadratic(50, 2, rho=rho, diag_shift=shift, seed=42)
 
 
 def test_minimize_full_batch_reports_failure():
