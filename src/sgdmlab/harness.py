@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import InitVar, asdict, dataclass, fields
 from functools import partial
 from itertools import islice
 
@@ -120,22 +120,22 @@ def _grid(cfg: ExperimentConfig) -> list:
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment description (defaults and file values
-    already folded in)."""
+    """Experiment description; a key left at None takes the default of its
+    experiment, scale and problem, as on the command line."""
 
     experiment: str
     problem: str = "quadratic"
-    n: int = 4000
+    n: int = None
     dim: int = 10
     rho: float = 1.0
     shift: float = 10.0
     nu: float = 0.0
-    gammas: list = field(default_factory=lambda: ["0"])
-    alphas: list = field(default_factory=lambda: [0.001])
-    batch: int = 800
-    iters: int = 1000
-    n0: object = 0
-    reps: int = 100
+    gammas: list = None
+    alphas: list = None
+    batch: int = None
+    iters: int = None
+    n0: object = None
+    reps: int = None
     seed: int = 42
     out: str = "sgdmlab_out"
     paper_scale: bool = False
@@ -146,12 +146,27 @@ class ExperimentConfig:
     grid: int = 200
     alpha_range: tuple = (0.02, 0.8)
     gamma_range: tuple = (0.0, 0.6)
+    batch_frac: InitVar[float] = None  # batch is this (0.2 if None) of n unless given
 
-    def __post_init__(self):
+    def __post_init__(self, batch_frac):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.problem not in ("quadratic", "logistic"):
             raise ValueError(f"unknown problem {self.problem!r}")
+        if not isinstance(self.paper_scale, bool):
+            raise ValueError(f"paper_scale expects bool, got {self.paper_scale!r}")
+        defaults = {"alphas": [0.5] if self.problem == "logistic" else [0.001],
+                    **_SCALES[self.paper_scale], **_EXPERIMENT_DEFAULTS[self.experiment]}
+        for key, val in defaults.items():
+            if getattr(self, key) is None:
+                setattr(self, key, list(val) if isinstance(val, list) else val)
+        if self.batch is not None and batch_frac is not None:
+            raise ValueError("give either batch or batch_frac, not both")
+        if self.batch is None:
+            frac = 0.2 if batch_frac is None else batch_frac
+            if not 0.0 < frac < math.inf:
+                raise ValueError("batch_frac must be positive and finite")
+            self.batch = max(1, int(round(frac * self.n)))
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.problem == "quadratic" and self.n < self.dim:
@@ -344,14 +359,16 @@ def _run_replication(cfg: ExperimentConfig, rep: int) -> list:
 def _execute_cells(cfg: ExperimentConfig) -> list:
     """Run reps x cells, returning per cell its records ordered by
     replication index regardless of execution order. In parallel at most
-    `threads` replications run at once, and none starts after one fails."""
+    `threads` replications run at once, and none starts after one fails.
+    The pool starts all its workers at once, so it gets no more than reps."""
     task = partial(_run_replication, cfg)
-    if cfg.threads == 1:
+    workers = min(cfg.threads, cfg.reps)
+    if workers == 1:
         by_rep = list(map(task, range(cfg.reps)))
     else:
         todo = iter(range(cfg.reps))
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(task, rep) for rep in islice(todo, cfg.threads)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(task, rep) for rep in islice(todo, workers)]
             running = set(futures)
             while running:
                 done, running = wait(running, return_when=FIRST_COMPLETED)
@@ -583,13 +600,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# each config key's kind: its field default's type (gammas, alphas and n0
-# have their own parsers)
-_KIND = {f.name: type(f.default) for f in fields(ExperimentConfig)} | {"batch_frac": float}
-# keys whose defaults depend on the experiment, the scale or the environment;
-# every other field keeps its dataclass default unless given
-_RESOLVED = {"experiment", "n", "reps", "batch", "batch_frac", "gammas", "alphas",
-             "iters", "n0", "threads"}
+# each config key's kind: its field default's type or the kind given here
+# (gammas, alphas and n0 have their own parsers)
+_KIND = {f.name: type(f.default) for f in fields(ExperimentConfig)} | {
+    "n": int, "batch": int, "iters": int, "n0": int, "reps": int, "batch_frac": float}
 
 
 def _typed(key: str, val, kind=None):
@@ -643,6 +657,10 @@ def _gamma_tokens(raw) -> list:
     return toks
 
 
+def _alphas(raw) -> list:
+    return [_typed("alpha", a, float) for a in (raw if isinstance(raw, (list, tuple)) else [raw])]
+
+
 def _n0(raw):
     if isinstance(raw, str) and raw.strip().lower() == "auto":
         return "auto"
@@ -654,53 +672,25 @@ def _n0(raw):
 
 
 def parse_config(argv=None) -> ExperimentConfig:
-    """Resolve CLI flags, optional JSON config file, and defaults into an
-    ExperimentConfig (precedence: flags, then file, then defaults)."""
+    """Merge CLI flags over an optional JSON config file into an
+    ExperimentConfig, which fills in the defaults of every key not given."""
     args = _build_parser().parse_args(argv)
     merged: dict = {}
     if args.config:
         merged.update(_load_config_file(args.config))
     merged.update({k: v for k, v in vars(args).items() if k in _KIND and v is not None})
-
-    experiment = merged.get("experiment")
+    experiment = merged.pop("experiment", None)
     if experiment is None:
         raise ValueError("no experiment given (positional argument or config file)")
-    if experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}")
-
-    # keys with one default for every experiment first, in the order given
-    cfg = {k: _typed(k, v) for k, v in merged.items() if k not in _RESOLVED}
-    raw = {
-        "alphas": [0.5] if cfg.get("problem") == "logistic" else [0.001],
-        "batch_frac": 0.2,
-        **_SCALES[cfg.get("paper_scale", False)],
-        **_EXPERIMENT_DEFAULTS[experiment],
-        **merged,
-    }
-    cfg["n"] = _typed("n", raw["n"])
-    if "batch" in merged and "batch_frac" in merged:
-        raise ValueError("give either batch or batch_frac, not both")
-    if "batch" in merged:
-        cfg["batch"] = _typed("batch", merged["batch"])
-    else:
-        frac = _typed("batch_frac", raw["batch_frac"])
-        if not 0.0 < frac < math.inf:
-            raise ValueError("batch_frac must be positive and finite")
-        cfg["batch"] = max(1, int(round(frac * cfg["n"])))
-    cfg["gammas"] = _gamma_tokens(raw["gammas"])
-    alphas = raw["alphas"]
-    cfg["alphas"] = [_typed("alpha", a, float)
-                     for a in (alphas if isinstance(alphas, (list, tuple)) else [alphas])]
-    cfg["n0"] = _n0(raw["n0"])
-    if "threads" not in merged:
+    parsers = {"gammas": _gamma_tokens, "alphas": _alphas, "n0": _n0}
+    cfg = {k: parsers[k](v) if k in parsers else _typed(k, v) for k, v in merged.items()}
+    if "threads" not in cfg:
         env = os.environ.get(THREADS_ENV_VAR, "1")
         try:
-            raw["threads"] = int(env)
+            cfg["threads"] = int(env)
         except ValueError:
             raise ValueError(f"threads expects int, got {env!r}") from None
-    for key in ("reps", "iters", "threads"):
-        cfg[key] = _typed(key, raw[key])
-    return ExperimentConfig(experiment=experiment, **cfg)
+    return ExperimentConfig(experiment, **cfg)
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,8 @@ import re
 import subprocess
 import sys
 import warnings
+from concurrent.futures import Future
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -76,6 +78,15 @@ def test_parse_defaults_per_experiment(monkeypatch):
         paper = parse_config([experiment, "--paper-scale"])
         assert (paper.n, paper.reps, paper.batch) == (20000, 200, 4000)
         assert parse_config([experiment, "--paper-scale", "--batch-frac", "0.1"]).batch == 2000
+        # the library path takes the same defaults as the command line
+        for kwargs, flags in [
+            ({}, []),
+            ({"problem": "logistic"}, ["--problem", "logistic"]),
+            ({"paper_scale": True}, ["--paper-scale"]),
+            ({"paper_scale": True, "batch_frac": 0.1}, ["--paper-scale", "--batch-frac", "0.1"]),
+        ]:
+            assert (asdict(ExperimentConfig(experiment, **kwargs))
+                    == asdict(parse_config([experiment, *flags]))), (experiment, flags)
 
 
 def test_parse_paper_scale():
@@ -191,6 +202,11 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="convergence", gammas=[])
     with pytest.raises(ValueError, match="batch"):
         ExperimentConfig(experiment="convergence", batch=0)
+    with pytest.raises(ValueError, match="either batch or batch_frac"):
+        ExperimentConfig(experiment="convergence", batch=10, batch_frac=0.1)
+    for bad in ("yes", 1, None):
+        with pytest.raises(ValueError, match="paper_scale expects bool"):
+            ExperimentConfig(experiment="convergence", paper_scale=bad)
     with pytest.raises(ValueError, match="iters"):
         ExperimentConfig(experiment="power-bound", iters=0)
     with pytest.raises(ValueError, match="n must be >= dim"):
@@ -667,6 +683,10 @@ def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
         {"experiment": "convergence", "alpha": [True]},
         {"experiment": "convergence", "threads": "2"},
         {"experiment": "convergence", "threads": None},
+        {"experiment": "convergence", "n": None},
+        {"experiment": "convergence", "batch": None},
+        {"experiment": "convergence", "iters": None},
+        {"experiment": "convergence", "n0": None},
         {"experiment": "spectrum-map", "alpha_range": [0.1, None]},
     ]):
         path = tmp_path / f"typed{i}.json"
@@ -785,6 +805,33 @@ def test_failed_generation_exits_1_without_traceback(tmp_path, capsys, monkeypat
         assert (out_dir / "config.json").exists()
         # every replication fails, so none starts after the first `threads`
         assert len(submitted) == (0 if threads == 1 else 2)
+
+
+def test_pool_never_outnumbers_replications(tmp_path, monkeypatch):
+    # a pool starts all its workers at its first task, so it is sized by
+    # min(threads, reps); this inline stand-in starts no process
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    for threads, reps, want in [(1, 3, []), (4, 1, []), (4, 2, [2]), (2, 3, [2])]:
+        pools.clear()
+        run_experiment(tiny_config(tmp_path / f"t{threads}r{reps}", threads=threads, reps=reps))
+        assert pools == want, (threads, reps)
 
 
 def test_offset_zero_starts_at_the_minimizer(tmp_path, monkeypatch):
