@@ -387,6 +387,17 @@ def _mean(values: list) -> float:
     return float(np.mean(values)) if values else math.inf
 
 
+def _median(a, axis: int):
+    """`np.median(a, axis)` bit for bit, without its NaN check, which imports
+    numpy.ma on numpy 2: the middle value along the sorted axis or the
+    `.mean` of the two middle values, and NaN where the axis holds a NaN
+    (sorted last)."""
+    s = np.sort(a, axis)
+    n = s.shape[axis]
+    last = s.take(-1, axis)
+    return np.where(np.isnan(last), last, s.take(range((n - 1) // 2, n // 2 + 1), axis).mean(axis))
+
+
 def _cell_summary(cfg: ExperimentConfig, cell: _Cell, recs: list, alive: list, curve) -> dict:
     """A cell's summary row; `curve` is the err_last_mean a step CSV holds."""
     steady = hit = math.nan
@@ -410,7 +421,7 @@ def _cell_summary(cfg: ExperimentConfig, cell: _Cell, recs: list, alive: list, c
         "lam_mean": _mean([r["lam"] for r in recs]),
         "final_err_mean": _mean([r["final_err"] for r in alive]),
         "final_err_median": (
-            float(np.median([r["final_err"] for r in alive])) if alive else math.inf
+            float(_median([r["final_err"] for r in alive], 0)) if alive else math.inf
         ),
         "best_err_mean": _mean([r["best_err"] for r in alive]),
         "final_err_avg_mean": _mean([r["final_err_avg"] for r in alive]),
@@ -455,8 +466,8 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list, list]:
             if columns is _STEP_COLUMNS:
                 err_avg = np.array([r["err_avg"] for r in alive]).T.copy()
                 rows = [dict(zip(columns, values)) for values in zip(
-                    alive[0]["steps"], curve, np.median(err_last, axis=1),
-                    err_avg.mean(axis=1), np.median(err_avg, axis=1))]
+                    alive[0]["steps"], curve, _median(err_last, 1),
+                    err_avg.mean(axis=1), _median(err_avg, 1))]
         path = os.path.join(cfg.out, f"{cfg.experiment}_{cell.tag}.csv")
         _write_csv(path, dict(cfg.header(), **asdict(cell)), columns, rows)
         files.append(path)

@@ -32,7 +32,8 @@ __all__ = [
 BLOWUP_DEFAULT = 1e12
 # most indices per draw in run_cells: 512 KB of int64
 _INDEX_BLOCK = 1 << 16
-# most doubles per gather in run_cells: 256 KB
+# doubles per gather in run_cells, 256 KB: a gather takes as many steps'
+# batches as fit, but always at least one step's, however large its batch
 _GATHER_BLOCK = 1 << 15
 # most doubles of iterates run_cells steps between bookkeeping passes: 32 KB
 _STEP_BLOCK = 1 << 12

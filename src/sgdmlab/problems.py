@@ -72,22 +72,24 @@ class QuadraticProblem:
         """The batch's mean Hessian and mean linear term, shared by every
         iterate evaluated on this batch; a (C, B) block of C batches gives
         (C, d, d) and (C, d). Each entry is `.mean(axis=0)`'s arithmetic, an
-        in-order sum over the batch rows divided by B. The Hessians are
-        summed as packed upper triangles (each A_i is symmetric bit for bit)
-        and unpacked C-contiguous. A block is taken batch row first, so one
+        in-order sum over the batch rows divided by B. Both means come from
+        one table, row i the packed upper triangle of A_i (each A_i is
+        symmetric bit for bit) followed by b_i: one take, one reduce and one
+        divide, then the triangles are unpacked C-contiguous. The table is
+        a copy made on the first gather, so later writes to `a_mats` or
+        `b_vecs` do not reach it. A block is taken batch row first, so one
         numpy inner loop adds row k of all C batches; at d = 1 numpy sums a
-        batch's one-double rows pairwise, so each batch keeps its own axis.
+        batch's one-double rows pairwise, so each column of each batch keeps
+        its own axis.
         """
-        if self._upper is None:
+        if self._table is None:
             self._pack()
-        count = indices.shape[-1]
         if self.dim > 1:
-            indices, axis = indices.T, 0
+            sums = np.add.reduce(self._table.take(indices.T, 0), 0)
         else:
-            axis = -2
-        upper = np.add.reduce(self._upper.take(indices, 0), axis) / count
-        return (upper.take(self._unpack, -1),
-                np.add.reduce(self.b_vecs.take(indices, 0), axis) / count)
+            sums = np.moveaxis(np.add.reduce(self._table.T.take(indices, 1), -1), 0, -1)
+        means = sums / indices.shape[-1]
+        return means[..., :-self.dim].take(self._unpack, -1), means[..., -self.dim:]
 
     @property
     def _gathered_per_sample(self) -> int:
@@ -95,14 +97,16 @@ class QuadraticProblem:
         return self.dim * (self.dim + 1) // 2 + self.dim
 
     def _pack(self) -> None:
-        """Build the (N, d(d+1)/2) upper triangles `gather` sums, on first
-        use so that an instance that never gathers never holds them."""
+        """Build the (N, d(d+1)/2 + d) table `gather` sums, upper triangles
+        then b_i, on first use so that an instance that never gathers never
+        holds it."""
         if not np.array_equal(self.a_mats, self.a_mats.transpose(0, 2, 1)):
             raise ValueError("a_mats must be bitwise symmetric to be gathered")
         rows, cols = np.triu_indices(self.dim)
         unpack = np.empty((self.dim, self.dim), dtype=np.intp)
         unpack[rows, cols] = unpack[cols, rows] = np.arange(rows.size)
-        self._upper, self._unpack = np.ascontiguousarray(self.a_mats[:, rows, cols]), unpack
+        self._table = np.concatenate((self.a_mats[:, rows, cols], self.b_vecs), axis=1)
+        self._unpack = unpack
 
     def batch_gradient(self, batch: tuple, x: np.ndarray) -> np.ndarray:
         """Mini-batch gradient at x, or at each row of a (K, d) stack x, from
@@ -127,7 +131,7 @@ class QuadraticProblem:
 
     def __post_init__(self):
         self._b_mean = self.b_vecs.mean(axis=0)
-        self._upper = None
+        self._table = None
 
 
 @dataclass

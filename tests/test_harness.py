@@ -891,3 +891,41 @@ def test_console_script_runs(tmp_path):
     assert res.stderr == ""
     assert "artifacts in" in res.stdout
     assert os.path.exists(tmp_path / "cli" / "spectrum_map.csv")
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 100])
+def test_median_equals_numpy_median(count):
+    # the step CSV's and the summary's medians must be np.median's bits,
+    # on rows that hold a NaN, an inf or a -inf too
+    rows = RngStream(8, 0).standard_normal((7, count))
+    rows[1, 0] = math.nan
+    rows[2, -1] = math.inf
+    rows[3, count // 2] = -math.inf
+    rows[4, :] = math.inf
+    rows[5, : (count + 1) // 2] = -math.inf
+    rows[6, -1] = math.nan
+    rows[6, 0] = math.inf
+    with np.errstate(invalid="ignore"):
+        got, want = harness._median(rows, 1), np.median(rows, axis=1)
+        assert np.array_equal(got, want, equal_nan=True)
+        for row in rows:
+            assert np.array_equal(harness._median(list(row), 0), np.median(list(row)),
+                                  equal_nan=True)
+
+
+def test_sweep_does_not_import_numpy_ma(tmp_path):
+    # np.median's NaN check imports numpy.ma on numpy 2, some ms inside
+    # the timed sweep; the harness's own median must not
+    script = ("import sys, numpy\n"
+              "loaded = 'numpy.ma' in sys.modules\n"
+              "from sgdmlab import harness\n"
+              "harness.main(['convergence', '--n', '50', '--dim', '2', '--iters', '20',\n"
+              "              '--reps', '2', '--out', sys.argv[1]])\n"
+              "print(loaded, 'numpy.ma' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path / "toy")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded, after = res.stdout.split()[-2:]
+    if loaded == "True":
+        pytest.skip("import numpy alone loads numpy.ma on this numpy")
+    assert after == "False"

@@ -230,6 +230,20 @@ def test_gather_block_equals_per_step_gathers(family, dim):
                 assert got[0].shape == (steps, dim, dim) and got[0].flags.c_contiguous
 
 
+@pytest.mark.parametrize("dim", [1, 2, 10])
+def test_gather_table_is_built_once(dim):
+    # gather sums one table, packed upper triangles then b_i, built on the
+    # first gather and kept: a later gather takes from the same object
+    p = generate_quadratic(50, dim, rho=1.0, diag_shift=10.0, seed=7)
+    assert p._table is None
+    p.gather(np.arange(5))
+    table = p._table
+    assert table.shape == (50, dim * (dim + 1) // 2 + dim) and table.flags.c_contiguous
+    assert np.array_equal(table[:, -dim:], p.b_vecs)
+    p.gather(np.arange(5, 10).reshape(1, 5))
+    assert p._table is table
+
+
 def test_generated_hessians_are_bitwise_symmetric():
     # the quadratic gather sums upper triangles only, which needs A_i == A_i'
     for dim in (1, 2, 3, 5, 10):
