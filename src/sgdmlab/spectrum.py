@@ -264,9 +264,12 @@ def verify_power_bound(
     partial=True) before the first power that overflows, which can happen
     for lam near 1 and long horizons, or whose bound big_m lam^j falls below
     the smallest normal double, where the ratio would be inf or NaN. The
-    powers are formed one at a time into a buffer of at most _POWER_BLOCK
-    doubles, whose norms are one batched SVD call; the ratios and their
-    maximum are the per-power loop's, bit for bit.
+    powers are formed a block of at most _POWER_BLOCK doubles at a time,
+    with one finiteness test and one batched SVD call per block; the ratios
+    and their maximum are the per-power loop's, bit for bit. A block's
+    products only note which of them set a floating-point flag; each noted
+    one up to the stopping power is formed again under the caller's error
+    state, so the warnings (or the FloatingPointError) are the loop's too.
     """
     if not math.isfinite(big_m):
         raise ValueError(f"big_m = {big_m} is not finite (delta = 0 boundary, or delta "
@@ -277,20 +280,28 @@ def verify_power_bound(
     max_ratio = 0.0
     done, stopped = 0, False
     while done < horizon and not stopped:
+        size = min(len(block), horizon - done)
+        flagged = set()
+        with np.errstate(all="call", call=lambda *_: flagged.add(i)):
+            prev = P
+            for i in range(size):
+                prev = np.matmul(prev, G, out=block[i])
+        finite = np.isfinite(block[:size]).all(axis=(1, 2)).tolist()
         filled = 0
-        for _ in range(min(len(block), horizon - done)):
-            P = P @ G
+        while filled < size and not stopped:
             # lam**j only for a finite power, as the ratio below takes it
-            stopped = (not np.isfinite(P).all()
+            stopped = (not finite[filled]
                        or big_m * lam ** (done + filled + 1) < sys.float_info.min)
-            if stopped:
-                break
-            block[filled] = P
-            filled += 1
+            filled += not stopped
+        for i in sorted(flagged):
+            if i <= filled:
+                np.matmul(block[i - 1] if i else P, G)
         if filled:
             norms = np.linalg.norm(block[:filled], 2, axis=(1, 2))
-            for j, nrm in enumerate(norms, done + 1):
-                max_ratio = max(max_ratio, float(nrm / (big_m * lam**j)))
+            for j, nrm in enumerate(norms.tolist(), done + 1):
+                max_ratio = max(max_ratio, nrm / (big_m * lam**j))
         done += filled
+        # a copy: with one power per block, the next product would overwrite its input
+        P = block[size - 1].copy()
     return PowerBoundResult(ok=max_ratio <= 1.0, max_ratio=max_ratio,
                             steps_done=done if stopped else horizon, partial=stopped)

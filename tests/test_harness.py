@@ -1,6 +1,7 @@
 """Experiment driver: config resolution, artifact layout, serial/parallel
 agreement, per-experiment summaries."""
 
+import csv
 import hashlib
 import json
 import math
@@ -350,6 +351,90 @@ def test_cell_csvs_match_golden_digests(tmp_path, experiment):
         if name.endswith(".csv") and name != "summary.csv"
     }
     assert got == GOLDEN_CELL_DIGESTS[experiment]
+
+
+# SHA-256 of each golden_configs summary.csv, recorded from a reference
+# build: the summary above is compared to 1e-12, this pins its bytes
+GOLDEN_SUMMARY_DIGESTS = {
+    "convergence": "5545e7699fa2c7e1ed887ddaf5ad40880d6283ec5b830403eeb4eb7f6f0a70bd",
+    "sensitivity": "48119d64e6ca1f9c9008e2936bb5516e7696e7cfb912f7d71e7af1a1e0c12f45",
+    "coverage": "798c554353b0efd3a2f8b6c651d7b55abeac217e4d61d072b96d22e85cad299d",
+    "coverage-logistic": "9a82fbf571c0115e7527aecd4e5cf89db2a678c34be127448ce92c6f69bb04eb",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(GOLDEN_SUMMARY_DIGESTS))
+def test_summary_csv_matches_golden_digest(tmp_path, experiment):
+    cfg = golden_configs(tmp_path)[experiment]
+    run_experiment(cfg)
+    got = hashlib.sha256((tmp_path / experiment / "summary.csv").read_bytes()).hexdigest()
+    assert got == GOLDEN_SUMMARY_DIGESTS[experiment]
+
+
+# SHA-256 of the grid and bound experiments' tables, recorded from a
+# reference build: a 40 x 40 map over alpha in [0, 3] spans two of the
+# writer's chunks and holds an inadmissible band
+GOLDEN_THEORY_DIGESTS = {
+    "spectrum_map.csv": (
+        dict(experiment="spectrum-map", grid=40, alpha_range=(0.0, 3.0)),
+        "7a21f6b1e0d652d649555fafff3fead6e3b73514184934bb33727ef15f2ca61a"),
+    "power_bound.csv": (
+        dict(experiment="power-bound", reps=25, iters=100),
+        "0211b658a5fa68a2ce63fe34363e8e99aad9d0ea80a38b62cf0cc992ee8a6642"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_THEORY_DIGESTS))
+def test_theory_csvs_match_golden_digests(tmp_path, name):
+    over, digest = GOLDEN_THEORY_DIGESTS[name]
+    run_experiment(ExperimentConfig(**over, out=str(tmp_path)))
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def write_csv_per_row(path, header, table):
+    """The CSV writer written out one dict row at a time."""
+    columns = list(table)
+    with open(path, "w", newline="") as fh:
+        for key, val in header.items():
+            fh.write(f"# {key}={val}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in (dict(zip(columns, values)) for values in zip(*table.values())):
+            writer.writerow([harness._fmt(row[c]) for c in columns])
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1, 5])
+def test_write_csv_matches_per_row_writer(tmp_path, monkeypatch, offset):
+    monkeypatch.setattr(harness, "_CSV_CHUNK", 4)
+    rows = 0 if offset is None else harness._CSV_CHUNK + offset
+    floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 2.0]
+    texts = ["adaptive", "a,b", 'say "hi"', ""]
+
+    def take(values):
+        return [values[i % len(values)] for i in range(rows)]
+
+    table = {
+        "float": take(floats),
+        "float_array": np.array(take(floats)),
+        "numpy_floats": list(np.array(take(floats))),
+        "int": take([0, -3, 2**63]),
+        "int_array": np.arange(rows, dtype=np.int64),
+        "bool": take([True, False]),
+        "bool_array": np.array(take([True, False])),
+        "numpy_bools": list(np.array(take([False, True]))),
+        "str": take(texts),
+    }
+    header = {"experiment": "convergence", "seed": 42}
+    harness._write_csv(str(tmp_path / "chunked.csv"), header, table)
+    write_csv_per_row(str(tmp_path / "per_row.csv"), header, table)
+    got = (tmp_path / "chunked.csv").read_bytes()
+    assert got == (tmp_path / "per_row.csv").read_bytes()
+    assert got.count(b"\n") == len(header) + 1 + rows
+
+
+def test_fmt_writes_numpy_bools_as_python_bools():
+    values = [True, False, np.True_, np.False_, *np.array([True, False]).tolist()]
+    assert [harness._fmt(v) for v in values] == ["1", "0", "1", "0", "1", "0"]
 
 
 # the tiny sweep at 9 and 100 replications (from 8 replications on, a

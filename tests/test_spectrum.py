@@ -351,6 +351,82 @@ def test_power_bound_matches_per_power_loop():
     assert res.partial and res.steps_done == 5
 
 
+def checked(check, G, big_m, lam, horizon, **errstate):
+    """check's result, or the FloatingPointError it raised, and the texts of
+    the warnings it left, under the given error state."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            with np.errstate(**errstate):
+                res = check(G, big_m, lam, horizon)
+        except FloatingPointError as exc:
+            res = repr(exc)
+    return res, [str(w.message) for w in seen]
+
+
+def scaled_orthogonal(n, scale):
+    Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((n, n)))
+    return scale * Q
+
+
+def test_power_bound_one_power_per_block():
+    # 129 curvatures make G 258 x 258, beyond _POWER_BLOCK doubles: a block
+    # holds one power, and each product starts from the power carried over
+    spec = HessianSpectrum(np.linspace(0.5, 20.0, 129))
+    cfg = MomentumConfig(alpha=0.05, gamma=0.5)
+    rep = spectral_radius_closed_form(spec, cfg)
+    G = build_gamma_matrix(spec, cfg)
+    assert spectrum._POWER_BLOCK // G.size == 0
+    res = verify_power_bound(G, rep.big_m, rep.lam, 6)
+    assert res == per_power_reference(G, rep.big_m, rep.lam, 6)
+    assert res.steps_done == 6 and not res.partial
+
+    # the sixth power of 1e60 Q overflows in a block of its own
+    G = scaled_orthogonal(258, 1e60)
+    got = checked(verify_power_bound, G, 2.0, 1e60, 10)
+    assert got == checked(per_power_reference, G, 2.0, 1e60, 10)
+    assert got[0].partial and got[0].steps_done == 5
+    assert got[1] == ["overflow encountered in matmul"]
+
+
+def test_power_bound_overflow_opens_a_later_block():
+    # 1e70 Q, 128 x 128, four powers a block: the fifth power, the first of
+    # the second block, overflows, so its product is formed again from the
+    # fourth power carried over
+    G = scaled_orthogonal(128, 1e70)
+    assert spectrum._POWER_BLOCK // G.size == 4
+    got = checked(verify_power_bound, G, 2.0, 1e70, 10)
+    assert got == checked(per_power_reference, G, 2.0, 1e70, 10)
+    assert got[0].partial and got[0].steps_done == 4
+    assert got[1] == ["overflow encountered in matmul"]
+
+
+def test_power_bound_raises_where_the_loop_raises():
+    # 1e60 Q's sixth power overflows: under an error state that raises, the
+    # block raises the loop's FloatingPointError, not a result
+    G = scaled_orthogonal(128, 1e60)
+    got = checked(verify_power_bound, G, 2.0, 1e60, 50, all="raise")
+    assert got == checked(per_power_reference, G, 2.0, 1e60, 50, all="raise")
+    assert got == ("FloatingPointError('overflow encountered in matmul')", [])
+
+
+def test_power_bound_flags_only_the_powers_it_keeps():
+    # the fourth power of 1e-75 Q underflows in its products: the check warns
+    # or raises as the loop does
+    G = scaled_orthogonal(128, 1e-75)
+    for mode in ("warn", "raise"):
+        got = checked(verify_power_bound, G, 2.0, 1e-75, 4, under=mode)
+        assert got == checked(per_power_reference, G, 2.0, 1e-75, 4, under=mode)
+        assert "underflow encountered in matmul" in str(got)
+    # with lam = 1e-150 the bound of the third power is below the normal
+    # range, so the check stops there; the block's fourth product, which the
+    # loop never forms, neither warns nor raises
+    want = verify_power_bound(G, 2.0, 1e-150, 2)
+    assert not want.partial
+    got = checked(verify_power_bound, G, 2.0, 1e-150, 10, all="raise")
+    assert got == (PowerBoundResult(want.ok, want.max_ratio, 2, partial=True), [])
+
+
 def test_power_bound_stops_before_the_bound_underflows():
     # lam = 0.885: from about j = 5,800 on, M lam^j is below the normal range
     # and then 0, where the ratio would be inf or NaN
