@@ -83,11 +83,6 @@ def _tag(value) -> str:
     return short if float(short) == float(value) else repr(float(value))
 
 
-def _check_gamma(token: str) -> None:
-    if token != "adaptive" and not 0.0 <= float(token) < 1.0:
-        raise ValueError("gamma must lie in [0,1)")
-
-
 @dataclass(frozen=True)
 class _Cell:
     """One (gamma token, alpha) point of a sweep's grid, written to f"{experiment}_{tag}.csv"."""
@@ -105,7 +100,7 @@ class _Cell:
         mcfg = MomentumConfig(alpha=self.alpha, gamma=gamma, batch_size=cfg.batch)
         lam = spectral_radius_closed_form(problem.tuning_spectrum(), mcfg).lam
         if cfg.n0 != "auto":
-            return mcfg, lam, int(cfg.n0)
+            return mcfg, lam, cfg.n0
         half = max(cfg.iters // 2, 1)
         return mcfg, lam, min(choose_burn_in(lam, cfg.batch), half) if 0.0 < lam < 1.0 else half
 
@@ -120,8 +115,8 @@ def _grid(cfg: ExperimentConfig) -> list:
 
 @dataclass
 class ExperimentConfig:
-    """Experiment description; a key left at None takes the default of its
-    experiment, scale and problem, as on the command line."""
+    """Experiment description; each key is typed as on the command line, and
+    one left at None takes the default of its experiment, scale and problem."""
 
     experiment: str
     problem: str = "quadratic"
@@ -151,10 +146,12 @@ class ExperimentConfig:
     def __post_init__(self, batch_frac):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        # type each key (experiment is checked above); a None default is filled below
+        for f in fields(self)[1:]:
+            if getattr(self, f.name) is not None or f.default is not None:
+                setattr(self, f.name, _field(f.name, getattr(self, f.name)))
         if self.problem not in ("quadratic", "logistic"):
             raise ValueError(f"unknown problem {self.problem!r}")
-        if not isinstance(self.paper_scale, bool):
-            raise ValueError(f"paper_scale expects bool, got {self.paper_scale!r}")
         defaults = {"alphas": [0.5] if self.problem == "logistic" else [0.001],
                     **_SCALES[self.paper_scale], **_EXPERIMENT_DEFAULTS[self.experiment]}
         for key, val in defaults.items():
@@ -163,7 +160,7 @@ class ExperimentConfig:
         if self.batch is not None and batch_frac is not None:
             raise ValueError("give either batch or batch_frac, not both")
         if self.batch is None:
-            frac = 0.2 if batch_frac is None else batch_frac
+            frac = 0.2 if batch_frac is None else _typed("batch_frac", batch_frac)
             if not 0.0 < frac < math.inf:
                 raise ValueError("batch_frac must be positive and finite")
             self.batch = max(1, int(round(frac * self.n)))
@@ -189,15 +186,8 @@ class ExperimentConfig:
             raise ValueError("seed (plus reps - 1 for a sweep) must be < 2**64")
         if not (self.gammas and self.alphas):
             raise ValueError("gamma and alpha need at least one value each")
-        for a in self.alphas:
-            if not 0.0 < a < math.inf:
-                raise ValueError("alpha values must be positive and finite")
-        for g in self.gammas:
-            _check_gamma(g)
         _grid(self)
-        if self.n0 != "auto" and not 0 <= int(self.n0):
-            raise ValueError("n0 must be 'auto' or a nonnegative integer")
-        if sweep and self.n0 != "auto" and int(self.n0) >= self.iters:
+        if sweep and self.n0 != "auto" and self.n0 >= self.iters:
             raise ValueError("n0 must be < iters")
         # auto resolves to at least 1, which needs a step after it
         if sweep and self.n0 == "auto" and self.iters < 2:
@@ -674,16 +664,17 @@ def _gamma_tokens(raw) -> list:
         try:
             toks.append(_tag(float(g)))
         except (TypeError, ValueError):
-            raise ValueError(
-                f"gamma expects numbers in [0,1) or 'adaptive', got {g!r}"
-            ) from None
-        # checked here too, so a bad gamma is reported before a later key
-        _check_gamma(toks[-1])
+            raise ValueError(f"gamma expects numbers in [0,1) or 'adaptive', got {g!r}") from None
+        if not 0.0 <= float(toks[-1]) < 1.0:
+            raise ValueError("gamma must lie in [0,1)")
     return toks
 
 
 def _alphas(raw) -> list:
-    return [_typed("alpha", a, float) for a in (raw if isinstance(raw, (list, tuple)) else [raw])]
+    alphas = [_typed("alpha", a, float) for a in (raw if isinstance(raw, (list, tuple)) else [raw])]
+    if not all(0.0 < a < math.inf for a in alphas):
+        raise ValueError("alpha values must be positive and finite")
+    return alphas
 
 
 def _n0(raw):
@@ -691,9 +682,17 @@ def _n0(raw):
         return "auto"
     try:
         # a flag is a string to parse; a file's number must be an integer
-        return int(raw) if isinstance(raw, str) else _typed("n0", raw)
+        n0 = int(raw) if isinstance(raw, str) else _typed("n0", raw)
     except ValueError:
         raise ValueError(f"n0 expects an integer or 'auto', got {raw!r}") from None
+    if n0 < 0:
+        raise ValueError("n0 must be 'auto' or a nonnegative integer")
+    return n0
+
+
+def _field(key: str, val):
+    """val as config key `key` takes it: through `_typed` or the key's own parser."""
+    return {"gammas": _gamma_tokens, "alphas": _alphas, "n0": _n0}.get(key, partial(_typed, key))(val)
 
 
 def parse_config(argv=None) -> ExperimentConfig:
@@ -707,15 +706,16 @@ def parse_config(argv=None) -> ExperimentConfig:
     experiment = merged.pop("experiment", None)
     if experiment is None:
         raise ValueError("no experiment given (positional argument or config file)")
-    parsers = {"gammas": _gamma_tokens, "alphas": _alphas, "n0": _n0}
-    cfg = {k: parsers[k](v) if k in parsers else _typed(k, v) for k, v in merged.items()}
-    if "threads" not in cfg:
+    # a file's null would read as "not given"; its key's parser refuses it
+    for key in [k for k, v in merged.items() if v is None]:
+        _field(key, None)
+    if "threads" not in merged:
         env = os.environ.get(THREADS_ENV_VAR, "1")
         try:
-            cfg["threads"] = int(env)
+            merged["threads"] = int(env)
         except ValueError:
             raise ValueError(f"threads expects int, got {env!r}") from None
-    return ExperimentConfig(experiment, **cfg)
+    return ExperimentConfig(experiment, **merged)
 
 
 def main(argv=None) -> int:

@@ -129,6 +129,12 @@ def test_parse_config_file_and_precedence(tmp_path):
     assert cfg.experiment == "convergence"
     assert cfg.n == 400
     assert cfg.reps == 5
+    # a file's gamma list mixes a token and a number, its alpha is a scalar
+    path.write_text(json.dumps({"experiment": "averaged", "n": 50, "dim": 2, "iters": 20,
+                                "reps": 2, "gamma": ["adaptive", 0.5], "alpha": 0.01}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(path), "--out", str(tmp_path / "from-file")]) == 0
 
 
 def test_parse_config_file_rejects_unknown_key(tmp_path):
@@ -208,6 +214,15 @@ def test_experiment_config_validation():
     for bad in ("yes", 1, None):
         with pytest.raises(ValueError, match="paper_scale expects bool"):
             ExperimentConfig(experiment="convergence", paper_scale=bad)
+    # the library path types each key as the command line does and refuses a
+    # mistyped one before any sweep, naming it
+    for key, bad in [("reps", 2.5), ("n", 100.0), ("iters", 20.0), ("dim", True),
+                     ("threads", 2.0), ("batch", 10.0), ("alphas", ["0.1"]),
+                     ("offset", "1"), ("n0", 1.5), ("seed", 1.5), ("batch_frac", True),
+                     ("mu", None)]:
+        name = {"alphas": "alpha"}.get(key, key)  # as the command line names it
+        with pytest.raises(ValueError, match=rf"^{name} expects"):
+            ExperimentConfig(experiment="convergence", **{key: bad})
     with pytest.raises(ValueError, match="iters"):
         ExperimentConfig(experiment="power-bound", iters=0)
     with pytest.raises(ValueError, match="n must be >= dim"):
@@ -827,6 +842,17 @@ def test_cell_files_keep_full_precision(tmp_path, capsys):
     # so does the predicted radius of a far inadmissible step
     (["convergence", "--n", "100", "--iters", "5", "--reps", "1", "--dim", "2",
       "--alpha", "1e300"], 3),
+    # the index budget (65,536 indices a draw) makes 8-step blocks; the alpha 5
+    # cells diverge inside a block and at the last one's final step
+    (["sensitivity", "--n", "50", "--dim", "2", "--iters", "20", "--reps", "2",
+      "--batch", "8192", "--alpha", "5", "0.01"], 5),
+    # every second step is recorded past step 1000, across several step blocks
+    (["convergence", "--n", "50", "--dim", "2", "--iters", "2500", "--reps", "1"], 0),
+    # grid points far outside the stable region
+    (["spectrum-map", "--grid", "10", "--alpha-range", "0", "1e300"], 0),
+    # the quadratic gather's d = 1 branch sums one-double rows pairwise
+    (["convergence", "--n", "50", "--dim", "1", "--iters", "20", "--reps", "2"], 0),
+    (["coverage", "--n", "50", "--dim", "1", "--iters", "20", "--reps", "2"], 0),
 ])
 def test_overflowing_sweeps_warn_nothing(tmp_path, capsys, argv, divergent):
     with warnings.catch_warnings():
