@@ -42,7 +42,7 @@ from .spectrum import (
     optimal_hyperparameters,
     spectral_radius_closed_form,
     spectral_report_arrays,
-    verify_power_bound,
+    verify_power_bounds,
 )
 
 __all__ = [
@@ -243,23 +243,46 @@ def _fmt(v) -> str:
 # columns at once peaked 0.9 MB higher than 1,024-row chunks (2-core Xeon,
 # numpy 2.4.6)
 _CSV_CHUNK = 1024
+# what csv's QUOTE_MINIMAL quotes a field for
+_QUOTED_CHARS = (",", '"', "\r", "\n")
+
+
+def _field_texts(values, alone: bool) -> list:
+    """Column values (or column names) as csv.writer writes them: a float
+    array's by float.__repr__, a bool array's as 0/1, and any other value a
+    str as it is or through _fmt, quoted where QUOTE_MINIMAL quotes it (an
+    empty field too, when it is `alone` in its row)."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.char in "efd":
+            return list(map(float.__repr__, values.tolist()))
+        if values.dtype.kind == "b":
+            return list(map(("0", "1").__getitem__, values.tolist()))
+        values = values.tolist()
+    texts = [v if isinstance(v, str) else _fmt(v) for v in values]
+    joined = "".join(texts)
+    if any(c in joined for c in _QUOTED_CHARS):
+        texts = [('"' + t.replace('"', '""') + '"') if any(c in t for c in _QUOTED_CHARS)
+                 else t for t in texts]
+    if alone and "" in texts:
+        texts = ['""' if t == "" else t for t in texts]
+    return texts
 
 
 def _write_csv(path: str, header: dict, table: dict) -> None:
     """Write `table`, columns of equal length (lists or numpy arrays) under
-    their names, below the header's `# key=value` lines. Each chunk of rows
-    formats a column in one pass, an array's values as the Python scalars
-    of its `.tolist()`."""
+    their names, below the header's `# key=value` lines, in csv.writer's
+    bytes. Each chunk of rows formats a column in one pass (an array's
+    values as the Python scalars of its `.tolist()`), then joins the
+    chunk's rows and writes them at once."""
+    alone = len(table) == 1
     with open(path, "w", newline="") as fh:
         for key, val in header.items():
             fh.write(f"# {key}={val}\n")
-        writer = csv.writer(fh)
-        writer.writerow(list(table))
+        fh.write(",".join(_field_texts(list(table), alone)) + "\r\n")
         rows = len(next(iter(table.values()), ()))
         for start in range(0, rows, _CSV_CHUNK):
-            chunk = (col[start:start + _CSV_CHUNK] for col in table.values())
-            writer.writerows(zip(*(map(_fmt, c.tolist() if isinstance(c, np.ndarray) else c)
-                                   for c in chunk)))
+            columns = [_field_texts(col[start:start + _CSV_CHUNK], alone) for col in table.values()]
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def read_csv(path: str) -> tuple[dict, list]:
@@ -510,8 +533,7 @@ def _spectrum_map(cfg: ExperimentConfig) -> tuple[list, list]:
 
 def _power_bound(cfg: ExperimentConfig) -> tuple[list, list]:
     stream = RngStream(cfg.seed, stream=3)
-    rows = []
-    failures = 0
+    rows, maps = [], []
     attempts = 0
     while len(rows) < cfg.reps and attempts < 100 * cfg.reps:
         attempts += 1
@@ -525,16 +547,16 @@ def _power_bound(cfg: ExperimentConfig) -> tuple[list, list]:
         rep = spectral_radius_closed_form(spectrum, mcfg)
         if not rep.admissible or rep.delta <= 1e-6 or not math.isfinite(rep.big_m):
             continue
-        G = build_gamma_matrix(spectrum, mcfg)
-        res = verify_power_bound(G, rep.big_m, rep.lam, cfg.iters)
-        if not res.ok:
-            failures += 1
-        rows.append({
-            "mu": mu, "ell": ell, "alpha": alpha, "gamma": gamma,
-            "lam": rep.lam, "big_m": rep.big_m, "delta": rep.delta,
-            "ok": int(res.ok), "max_ratio": res.max_ratio,
-            "steps_done": res.steps_done, "partial": int(res.partial),
-        })
+        maps.append(build_gamma_matrix(spectrum, mcfg))
+        rows.append({"mu": mu, "ell": ell, "alpha": alpha, "gamma": gamma,
+                     "lam": rep.lam, "big_m": rep.big_m, "delta": rep.delta})
+    # every accepted configuration's map checked as one stack
+    results = verify_power_bounds(maps, [row["big_m"] for row in rows],
+                                  [row["lam"] for row in rows], cfg.iters)
+    for row, res in zip(rows, results):
+        row.update(ok=int(res.ok), max_ratio=res.max_ratio,
+                   steps_done=res.steps_done, partial=int(res.partial))
+    failures = sum(not res.ok for res in results)
     path = os.path.join(cfg.out, "power_bound.csv")
     columns = ["mu", "ell", "alpha", "gamma", "lam", "big_m", "delta",
                "ok", "max_ratio", "steps_done", "partial"]
@@ -662,6 +684,9 @@ def _gamma_tokens(raw) -> list:
             toks.append("adaptive")
             continue
         try:
+            # float() would take a bool (a config file's true or false) as 1 or 0
+            if isinstance(g, (bool, np.bool_)):
+                raise TypeError
             toks.append(_tag(float(g)))
         except (TypeError, ValueError):
             raise ValueError(f"gamma expects numbers in [0,1) or 'adaptive', got {g!r}") from None

@@ -256,7 +256,12 @@ def generate_quadratic(
     stream = RngStream(seed)
     v = stream.standard_normal((n_samples, dim, dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        a_mats = rho * np.einsum("nij,nik->njk", v, v) + diag_shift * np.eye(dim)
+        # in place: IEEE multiply and add give the bits of
+        # rho * V'V + diag_shift * I without its temporaries
+        a_mats = np.einsum("nij,nik->njk", v, v)
+        del v
+        a_mats *= rho
+        a_mats += diag_shift * np.eye(dim)
         b_vecs = stream.standard_normal((n_samples, dim))
         # diag_shift > 0 makes the mean Hessian nonsingular
         x_star = np.linalg.solve(a_mats.sum(axis=0), b_vecs.sum(axis=0))

@@ -207,6 +207,9 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="convergence", alphas=[])
     with pytest.raises(ValueError, match="at least one value"):
         ExperimentConfig(experiment="convergence", gammas=[])
+    for bad in ([False], [np.True_]):
+        with pytest.raises(ValueError, match=r"^gamma expects numbers in \[0,1\) or 'adaptive', got"):
+            ExperimentConfig(experiment="convergence", gammas=bad)
     with pytest.raises(ValueError, match="batch"):
         ExperimentConfig(experiment="convergence", batch=0)
     with pytest.raises(ValueError, match="either batch or batch_frac"):
@@ -407,14 +410,16 @@ def test_theory_csvs_match_golden_digests(tmp_path, name):
 
 
 def write_csv_per_row(path, header, table):
-    """The CSV writer written out one dict row at a time."""
+    """The CSV writer written out one dict row at a time, an array's values
+    as the Python scalars of its `.tolist()` (a float32 array's as doubles)."""
     columns = list(table)
+    values = (c.tolist() if isinstance(c, np.ndarray) else c for c in table.values())
     with open(path, "w", newline="") as fh:
         for key, val in header.items():
             fh.write(f"# {key}={val}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in (dict(zip(columns, values)) for values in zip(*table.values())):
+        for row in (dict(zip(columns, row_values)) for row_values in zip(*values)):
             writer.writerow([harness._fmt(row[c]) for c in columns])
 
 
@@ -423,7 +428,7 @@ def test_write_csv_matches_per_row_writer(tmp_path, monkeypatch, offset):
     monkeypatch.setattr(harness, "_CSV_CHUNK", 4)
     rows = 0 if offset is None else harness._CSV_CHUNK + offset
     floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 2.0]
-    texts = ["adaptive", "a,b", 'say "hi"', ""]
+    texts = ["adaptive", "a,b", 'say "hi"', "", "cr\r", "lf\n", "crlf\r\n"]
 
     def take(values):
         return [values[i % len(values)] for i in range(rows)]
@@ -431,20 +436,27 @@ def test_write_csv_matches_per_row_writer(tmp_path, monkeypatch, offset):
     table = {
         "float": take(floats),
         "float_array": np.array(take(floats)),
+        "float32_array": np.array(take([math.nan, -math.inf, -0.0, 1e-45, 0.1, 3e38]),
+                                  dtype=np.float32),
         "numpy_floats": list(np.array(take(floats))),
         "int": take([0, -3, 2**63]),
         "int_array": np.arange(rows, dtype=np.int64),
+        "int32_array": np.array(take([0, -3, 2**31 - 1]), dtype=np.int32),
         "bool": take([True, False]),
         "bool_array": np.array(take([True, False])),
         "numpy_bools": list(np.array(take([False, True]))),
         "str": take(texts),
+        'needs,"quotes"': take(["x"]),
     }
     header = {"experiment": "convergence", "seed": 42}
-    harness._write_csv(str(tmp_path / "chunked.csv"), header, table)
-    write_csv_per_row(str(tmp_path / "per_row.csv"), header, table)
-    got = (tmp_path / "chunked.csv").read_bytes()
-    assert got == (tmp_path / "per_row.csv").read_bytes()
-    assert got.count(b"\n") == len(header) + 1 + rows
+    # and one-column tables, where csv.writer quotes a lone empty field
+    for i, one in enumerate([table, {"str": take(texts)}, {"": take(["", "x"])}]):
+        harness._write_csv(str(tmp_path / f"chunked{i}.csv"), header, one)
+        write_csv_per_row(str(tmp_path / f"per_row{i}.csv"), header, one)
+        got = (tmp_path / f"chunked{i}.csv").read_bytes()
+        assert got == (tmp_path / f"per_row{i}.csv").read_bytes(), one
+        assert len(read_csv(str(tmp_path / f"chunked{i}.csv"))[1]) == rows
+    assert got.startswith(b'# experiment=convergence\n# seed=42\n""\r\n')
 
 
 def test_fmt_writes_numpy_bools_as_python_bools():
@@ -781,6 +793,8 @@ def test_main_success_and_error_paths(tmp_path, capsys, monkeypatch):
         {"experiment": "convergence", "n0": True},
         {"experiment": "convergence", "batch_frac": True},
         {"experiment": "convergence", "alpha": [True]},
+        {"experiment": "convergence", "gamma": False},
+        {"experiment": "convergence", "gamma": [True]},
         {"experiment": "convergence", "threads": "2"},
         {"experiment": "convergence", "threads": None},
         {"experiment": "convergence", "n": None},

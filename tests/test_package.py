@@ -55,6 +55,7 @@ PUBLIC_NAMES = [
     "spectral_radius_closed_form",
     "spectral_report_arrays",
     "verify_power_bound",
+    "verify_power_bounds",
     "z_statistic",
 ]
 

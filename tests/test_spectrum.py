@@ -23,6 +23,7 @@ from sgdmlab import (
     spectral_radius_closed_form,
     spectrum,
     verify_power_bound,
+    verify_power_bounds,
 )
 
 LAM_15 = (math.sqrt(5.0) - 1.0) / (math.sqrt(5.0) + 1.0)
@@ -304,6 +305,10 @@ def test_power_bound_random_admissible():
         assert res.ok, (spec.eigenvalues, cfg.alpha, cfg.gamma, res.max_ratio)
 
 
+# the side of a square map of which a block holds 4 powers
+FOUR_A_BLOCK = math.isqrt(spectrum._POWER_BLOCK // 4)
+
+
 def per_power_reference(G, big_m, lam, horizon):
     """The power-bound check written out one power at a time."""
     P = np.eye(G.shape[0])
@@ -325,9 +330,9 @@ def test_power_bound_matches_per_power_loop():
         assert verify_power_bound(G, rep.big_m, rep.lam, 200) == \
             per_power_reference(G, rep.big_m, rep.lam, 200)
 
-    # 64 curvatures make G 128 x 128, so a block holds 4 powers and a
-    # horizon of 10 is two full blocks and a partial one
-    spec = HessianSpectrum(np.linspace(0.5, 20.0, 64))
+    # FOUR_A_BLOCK / 2 curvatures make G FOUR_A_BLOCK square, so a block
+    # holds 4 powers and a horizon of 10 is two full blocks and a partial one
+    spec = HessianSpectrum(np.linspace(0.5, 20.0, FOUR_A_BLOCK // 2))
     cfg = MomentumConfig(alpha=0.05, gamma=0.5)
     rep = spectral_radius_closed_form(spec, cfg)
     G = build_gamma_matrix(spec, cfg)
@@ -336,10 +341,11 @@ def test_power_bound_matches_per_power_loop():
     assert res == per_power_reference(G, rep.big_m, rep.lam, 10)
     assert res.steps_done == 10 and not res.partial
 
-    # 1e60 Q (Q orthogonal, 128 x 128): the fifth power is finite and the
-    # sixth overflows, the second entry of the second block; the stop leaves
-    # the same warnings as the loop, with no norm or ratio of a non-finite power
-    Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((128, 128)))
+    # 1e60 Q (Q orthogonal, FOUR_A_BLOCK square): the fifth power is finite
+    # and the sixth overflows, the second entry of the second block; the stop
+    # leaves the same warnings as the loop, with no norm or ratio of a
+    # non-finite power
+    Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((FOUR_A_BLOCK,) * 2))
     G = 1e60 * Q
     caught = []
     for check in (verify_power_bound, per_power_reference):
@@ -392,10 +398,10 @@ def test_power_bound_one_power_per_block():
 
 
 def test_power_bound_overflow_opens_a_later_block():
-    # 1e70 Q, 128 x 128, four powers a block: the fifth power, the first of
-    # the second block, overflows, so its product is formed again from the
-    # fourth power carried over
-    G = scaled_orthogonal(128, 1e70)
+    # 1e70 Q, four powers a block: the fifth power, the first of the second
+    # block, overflows, so its product is formed again from the fourth power
+    # carried over
+    G = scaled_orthogonal(FOUR_A_BLOCK, 1e70)
     assert spectrum._POWER_BLOCK // G.size == 4
     got = checked(verify_power_bound, G, 2.0, 1e70, 10)
     assert got == checked(per_power_reference, G, 2.0, 1e70, 10)
@@ -413,12 +419,13 @@ def test_power_bound_raises_where_the_loop_raises():
 
 
 def test_power_bound_flags_only_the_powers_it_keeps():
-    # the fourth power of 1e-75 Q underflows in its products: the check warns
-    # or raises as the loop does
-    G = scaled_orthogonal(128, 1e-75)
+    # the fourth power of 1e-76 Q, four powers a block, underflows in its
+    # products: the check warns or raises as the loop does
+    G = scaled_orthogonal(FOUR_A_BLOCK, 1e-76)
+    assert spectrum._POWER_BLOCK // G.size == 4
     for mode in ("warn", "raise"):
-        got = checked(verify_power_bound, G, 2.0, 1e-75, 4, under=mode)
-        assert got == checked(per_power_reference, G, 2.0, 1e-75, 4, under=mode)
+        got = checked(verify_power_bound, G, 2.0, 1e-76, 4, under=mode)
+        assert got == checked(per_power_reference, G, 2.0, 1e-76, 4, under=mode)
         assert "underflow encountered in matmul" in str(got)
     # with lam = 1e-150 the bound of the third power is below the normal
     # range, so the check stops there; the block's fourth product, which the
@@ -444,6 +451,91 @@ def test_power_bound_stops_before_the_bound_underflows():
     assert res.ok and res.partial
     assert res.steps_done == first_low - 1
     assert res.max_ratio <= 1.0
+
+
+def check_stack_row_by_row(maps, big_ms, lams, horizon, **errstate):
+    """The stack's results, warnings or FloatingPointError against each map
+    checked alone: the same results, the same warnings (in any order), and
+    of the maps that raise alone, the error of the one that raises at the
+    earliest power (the first such map at a tie)."""
+    got, seen = checked(verify_power_bounds, maps, big_ms, lams, horizon, **errstate)
+    alone = [checked(verify_power_bound, *args, horizon, **errstate)
+             for args in zip(maps, big_ms, lams)]
+    raised = []  # (the power a map raises at alone, its error), maps in order
+    for args, (res, _) in zip(zip(maps, big_ms, lams), alone):
+        if isinstance(res, str):
+            power = next(h for h in range(1, horizon + 1)
+                         if isinstance(checked(verify_power_bound, *args, h, **errstate)[0], str))
+            raised.append((power, res))
+    if raised:
+        assert got == min(raised, key=lambda power_error: power_error[0])[1]
+    else:
+        assert got == [res for res, _ in alone]
+        assert sorted(seen) == sorted(w for _, warned in alone for w in warned)
+    return got, seen
+
+
+def test_power_bounds_match_per_map_loop():
+    # the 25 random maps, a stack per size: each row is the per-power loop
+    # on its own map
+    rng = np.random.default_rng(23)
+    by_size = {}
+    for _ in range(25):
+        spec, cfg, rep = random_admissible(rng)
+        G = build_gamma_matrix(spec, cfg)
+        by_size.setdefault(G.shape, []).append((G, rep.big_m, rep.lam))
+    assert len(by_size) > 1
+    for rows in by_size.values():
+        maps, big_ms, lams = zip(*rows)
+        got, seen = check_stack_row_by_row(maps, big_ms, lams, 200)
+        assert got == [per_power_reference(*row, 200) for row in rows]
+        assert seen == []
+
+    # a plain map, 1e60 Q (overflows at its sixth power) and 1e-75 Q at
+    # lam 1e-150 (stops on the bound after its second): 128 x 128 maps, one
+    # power a block, so each stopped map leaves the stack after the block of
+    # its stop; and 8 x 8 ones, every power in one block, so the stopped maps
+    # ride along while the plain one goes on
+    for side in (128, 8):
+        spec = HessianSpectrum(np.linspace(0.5, 20.0, side // 2))
+        cfg = MomentumConfig(alpha=0.05, gamma=0.5)
+        rep = spectral_radius_closed_form(spec, cfg)
+        maps = [build_gamma_matrix(spec, cfg), scaled_orthogonal(side, 1e60),
+                scaled_orthogonal(side, 1e-75)]
+        big_ms, lams = [rep.big_m, 2.0, 2.0], [rep.lam, 1e60, 1e-150]
+        horizon = 12
+        per_block = spectrum._POWER_BLOCK // (len(maps) * side * side)
+        assert per_block <= 1 if side == 128 else per_block >= horizon
+        got, seen = check_stack_row_by_row(maps, big_ms, lams, horizon)
+        plain, overflow, low = got
+        assert plain == per_power_reference(maps[0], rep.big_m, rep.lam, horizon)
+        assert not plain.partial and plain.steps_done == horizon
+        assert overflow == checked(per_power_reference, maps[1], 2.0, 1e60, horizon)[0]
+        assert overflow.partial and overflow.steps_done == 5
+        want = per_power_reference(maps[2], 2.0, 1e-150, 2)
+        assert low == PowerBoundResult(want.ok, want.max_ratio, 2, partial=True)
+        assert "overflow encountered in matmul" in seen
+        # under an error state that raises, the stack raises the overflow
+        got, _ = check_stack_row_by_row(maps, big_ms, lams, horizon, all="raise")
+        assert got == "FloatingPointError('overflow encountered in matmul')"
+        # 1e-77 Q at lam 1e-76 keeps its fourth power, whose products
+        # underflow: before the sixth power's overflow of the map ahead of it
+        low = scaled_orthogonal(side, 1e-77)
+        got, _ = check_stack_row_by_row(maps[:2] + [low], big_ms, lams[:2] + [1e-76],
+                                        horizon, all="raise")
+        assert got == "FloatingPointError('underflow encountered in matmul')"
+        assert checked(verify_power_bound, low, 2.0, 1e-76, 3, all="raise")[0].steps_done == 3
+
+    # refusals: maps of mixed sizes, lengths that differ, a bound without M
+    G = np.eye(4)
+    with pytest.raises(ValueError, match="one size"):
+        verify_power_bounds([G, np.eye(6)], [1.0, 1.0], [0.5, 0.5], 10)
+    for big_ms, lams in (([1.0], [0.5, 0.5]), ([1.0, 1.0], [0.5])):
+        with pytest.raises(ValueError, match="one length"):
+            verify_power_bounds([G, G], big_ms, lams, 10)
+    with pytest.raises(ValueError, match="not finite"):
+        verify_power_bounds([G, G], [1.0, math.inf], [0.5, 0.5], 10)
+    assert verify_power_bounds([], [], [], 10) == []
 
 
 # ---------------------------------------------------------------------------
